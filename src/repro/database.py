@@ -26,8 +26,10 @@ from typing import Callable, Iterable, Sequence
 
 from .algebra import Binder, explain as explain_plan, plan_stats, summarize_plan
 from .algebra.binder import RelationBinding, Scope
-from .algebra.ops import LogicalOp, Scan
+from .algebra.expr import Const, Param, rewrite_expr
+from .algebra.ops import LogicalOp, Scan, rewrite_op_exprs
 from .catalog import Catalog
+from .datatypes import type_of_literal
 from .catalog.schema import (
     ColumnSchema,
     ForeignKey,
@@ -36,7 +38,7 @@ from .catalog.schema import (
     ViewSchema,
 )
 from .engine import Chunk, Executor, QueryResult
-from .engine.executor import DEFAULT_BATCH_SIZE, QueryStats
+from .engine.executor import DEFAULT_BATCH_SIZE, QueryStats, _collect_used_cids
 from .engine.eval import evaluate, evaluate_predicate
 from .errors import (
     BindError,
@@ -62,9 +64,12 @@ from .observability.feedback import (
     MISESTIMATE_QERROR,
     plan_feedback_rows,
 )
+from .observability.instrument import render_analyze
 from .observability.querylog import QueryLog, QueryLogEntry
 from .observability.systables import install_sys_tables
+from .optimizer.pipeline import optimize_plan
 from .sql import ast, parse_statement
+from .sql.normalize import extract_shape
 from .storage import (
     ColumnTable,
     DiskWriteAheadLog,
@@ -75,6 +80,65 @@ from .storage import (
 from .storage.mvcc import NO_TID
 from .storage.wal import _decode_value, _encode_value
 from .storage.wal_disk import schema_from_dict, schema_to_dict
+
+
+class _Statement:
+    """One statement's context, from the client's call to its telemetry.
+
+    Created before lexing — ``start`` is the statement clock, so elapsed
+    time covers lex, plan-cache probe and parse — and filled in by
+    :meth:`Database._run_statement` as the statement moves through its
+    phases; :meth:`Database._finish` reads it back, once, into every
+    statement-end sink.
+
+    ``is_query`` says the caller expects a SELECT (``query()``, EXPLAIN
+    ANALYZE, a SELECT-prefixed ``execute()``); ``seq``/``query_id`` stay
+    None for DDL/DML, which are not logged as queries.  ``parsed`` carries
+    the already-parsed query of a nested INSERT ... SELECT.  ``deadline``
+    is an absolute ``time.monotonic()`` value or None.
+    """
+
+    __slots__ = (
+        "sql", "txn", "is_query", "optimize", "analyze", "parsed", "cacheable",
+        "deadline", "started_at", "start", "seq", "query_id", "span",
+        "parse_s", "bind_s", "optimize_s", "execute_s", "plan",
+        "operators_before", "operators_after", "rewrite_fires", "trace",
+        "collector",
+    )
+
+    def __init__(
+        self, sql: str | None, txn: Transaction | None = None,
+        is_query: bool = True, optimize: bool = True, analyze: bool = False,
+        parsed: ast.Query | None = None,
+    ):
+        self.started_at = time.time()
+        self.start = time.perf_counter()
+        self.sql = sql
+        self.txn = txn
+        self.is_query = is_query
+        self.optimize = optimize
+        self.analyze = analyze
+        self.parsed = parsed
+        #: Only optimized SELECTs arriving as text consult the plan cache.
+        self.cacheable = is_query and optimize and not analyze and parsed is None
+        self.deadline: float | None = None
+        self.seq: int | None = None
+        self.query_id: str | None = None
+        self.span = None
+        self.parse_s = self.bind_s = self.optimize_s = self.execute_s = None
+        self.plan: LogicalOp | None = None
+        self.operators_before = self.operators_after = 0
+        self.rewrite_fires: dict[str, int] = {}
+        self.trace: QueryTrace | None = None
+        self.collector: ExecutionCollector | None = None
+
+
+def _shape_key(sql: str) -> tuple[tuple, list, list]:
+    """``((shape, literal types), literal values, tokens)`` — the plan-cache
+    key of a statement plus what a hit or a parse needs next.  Raises
+    whatever the lexer raises."""
+    shape, values, tokens = extract_shape(sql)
+    return (shape, tuple(type_of_literal(v) for v in values)), values, tokens
 
 
 class Database:
@@ -205,8 +269,8 @@ class Database:
             WorkloadRecorder(capture_dir, profile=profile)
             if capture_dir is not None else None
         )
-        #: Parameterized plan cache (ROADMAP item 5); ``plan_cache_size=0``
-        #: disables it entirely.  Shared by every session of this instance.
+        #: Parameterized plan cache; ``plan_cache_size=0`` disables it
+        #: entirely.  Shared by every session of this instance.
         from .cache.plan_cache import PlanCache
 
         self.plan_cache: PlanCache | None = (
@@ -220,9 +284,11 @@ class Database:
     @property
     def tracing(self) -> bool:
         """When True, every optimized query records a full
-        :class:`QueryTrace` (structured rewrite events) *and* a span tree,
-        retrievable via :attr:`last_trace`.  Off by default: the default
-        path only keeps a counting tally and no spans."""
+        :class:`QueryTrace` (structured rewrite events; a plan-cache hit
+        skips the optimizer, so its trace carries the cached entry's
+        rewrite-fire counts and no events) *and* a span tree, retrievable
+        via :attr:`last_trace`.  Off by default: the default path only
+        keeps a counting tally and no spans."""
         return self._tracing
 
     @tracing.setter
@@ -269,7 +335,7 @@ class Database:
     def rollback(self, txn: Transaction) -> None:
         self.txn_manager.rollback(txn)
 
-    # -- statement routing ---------------------------------------------------------
+    # -- the statement lifecycle ------------------------------------------------
 
     def execute(self, sql: str, txn: Transaction | None = None):
         """Execute one SQL statement.
@@ -277,54 +343,10 @@ class Database:
         Returns a :class:`QueryResult` for queries, an affected-row count for
         DML, and None for DDL.
         """
-        recorder = self.capture
-        if recorder is None:
-            return self._execute_inner(sql, txn)
-        started_at = time.time()
-        started = time.perf_counter()
-        try:
-            outcome = self._execute_inner(sql, txn)
-        except BaseException as exc:
-            recorder.record_error(sql, started_at, time.perf_counter() - started, exc)
-            raise
-        recorder.record_statement(sql, started_at, time.perf_counter() - started, outcome)
-        return outcome
-
-    def _execute_inner(self, sql: str, txn: Transaction | None):
         # SELECTs routed through execute() share the plan cache with
         # query(); the prefix gate keeps DDL/DML off the probe path.
-        if (self.plan_cache is not None and not self.spans.enabled
-                and sql.lstrip()[:6].upper() == "SELECT"):
-            return self._query_with_plan_cache(sql, txn, None)
-        if not self.spans.enabled:
-            parse_started = time.perf_counter()
-            statement = parse_statement(sql)
-            parse_s = time.perf_counter() - parse_started
-            return self._route(statement, txn, sql, parse_s)
-        with self.spans.span("query", sql=sql):
-            parse_started = time.perf_counter()
-            with self.spans.span("parse"):
-                statement = parse_statement(sql)
-            parse_s = time.perf_counter() - parse_started
-            return self._route(statement, txn, sql, parse_s)
-
-    def _route(self, statement, txn: Transaction | None, sql: str,
-               parse_s: float | None = None):
-        if isinstance(statement, ast.Query):
-            return self._run_query(statement, txn, sql=sql, parse_s=parse_s)
-        if isinstance(statement, ast.CreateTable):
-            return self._create_table(statement)
-        if isinstance(statement, ast.CreateView):
-            return self._create_view(statement, sql)
-        if isinstance(statement, ast.DropStatement):
-            return self._drop(statement)
-        if isinstance(statement, ast.Insert):
-            return self._with_txn(txn, lambda t: self._insert(statement, t))
-        if isinstance(statement, ast.Update):
-            return self._with_txn(txn, lambda t: self._update(statement, t))
-        if isinstance(statement, ast.Delete):
-            return self._with_txn(txn, lambda t: self._delete(statement, t))
-        raise ExecutionError(f"unsupported statement {type(statement).__name__}")
+        is_query = sql.lstrip()[:6].upper() == "SELECT"
+        return self._run_statement(_Statement(sql, txn, is_query))
 
     def query(
         self,
@@ -346,173 +368,205 @@ class Database:
         budget.  A deadline already in the past raises
         :class:`QueryTimeoutError` up front, before any planning work.
         When both are given the earlier one wins."""
-        recorder = self.capture
-        if recorder is None:
-            return self._query_inner(sql, txn, optimize, timeout, deadline)
-        started_at = time.time()
-        started = time.perf_counter()
-        try:
-            result = self._query_inner(sql, txn, optimize, timeout, deadline)
-        except BaseException as exc:
-            recorder.record_error(sql, started_at, time.perf_counter() - started, exc)
-            raise
-        recorder.record_statement(sql, started_at, time.perf_counter() - started, result)
-        return result
+        stmt = _Statement(sql, txn, optimize=optimize)
+        if timeout is not None:
+            armed = time.monotonic() + timeout
+            deadline = armed if deadline is None else min(armed, deadline)
+        stmt.deadline = deadline
+        return self._run_statement(stmt)
 
-    def _query_inner(
-        self,
-        sql: str,
-        txn: Transaction | None,
-        optimize: bool,
-        timeout: float | None,
-        submitted_deadline: float | None = None,
-    ) -> QueryResult:
-        deadline = None if timeout is None else time.monotonic() + timeout
-        if submitted_deadline is not None:
-            deadline = (
-                submitted_deadline if deadline is None
-                else min(deadline, submitted_deadline)
-            )
-        if not self.spans.enabled:
-            if self.plan_cache is not None and optimize:
-                return self._query_with_plan_cache(sql, txn, deadline)
-            parse_started = time.perf_counter()
-            statement = parse_statement(sql)
-            parse_s = time.perf_counter() - parse_started
-            if not isinstance(statement, ast.Query):
-                raise ExecutionError("query() expects a SELECT statement")
-            return self._run_query(statement, txn, optimize, sql=sql,
-                                   deadline=deadline, parse_s=parse_s)
-        with self.spans.span("query", sql=sql):
-            parse_started = time.perf_counter()
-            with self.spans.span("parse"):
-                statement = parse_statement(sql)
-            parse_s = time.perf_counter() - parse_started
-            if not isinstance(statement, ast.Query):
-                raise ExecutionError("query() expects a SELECT statement")
-            return self._run_query(statement, txn, optimize, sql=sql,
-                                   deadline=deadline, parse_s=parse_s)
+    def _run_statement(self, stmt: _Statement):
+        """The one statement lifecycle.  Cold plan, plan-cache hit, EXPLAIN
+        ANALYZE, a nested INSERT ... SELECT and DDL/DML all run parse/probe →
+        (queries: plan source → execute) under one ``query`` span and end
+        in one :meth:`_finish` call — DESIGN §8 has the diagram.
 
-    def _run_query(
-        self,
-        query: ast.Query,
-        txn: Transaction | None,
-        optimize: bool = True,
-        sql: str | None = None,
-        deadline: float | None = None,
-        parse_s: float | None = None,
-    ) -> QueryResult:
-        seq = next(self._query_seq)
-        query_id = f"q{seq}"
-        started_at = time.time()
-        start = time.perf_counter()
+        A statement gets its query id once parsing has said — or failed to
+        say — what it is, so a lex error in ``query()`` is logged like any
+        other failure while DDL/DML consume no id.
+        """
         tracer = self.spans
-        if tracer.enabled:
-            root_span = tracer.root()
-            if root_span is not None:
-                # setdefault: a nested statement (INSERT ... SELECT) must
-                # not overwrite the enclosing statement's id on its span.
-                root_span.attributes.setdefault("query_id", query_id)
-        status = "ok"
-        error_text: str | None = None
-        result: QueryResult | None = None
-        tally: RewriteTally | None = None
-        operators_before = operators_after = 0
-        bind_s: float | None = None
-        optimize_s: float | None = None
-        execute_s: float | None = None
+        cache = self.plan_cache if stmt.cacheable else None
+        outcome = entry = shape_key = values = tokens = None
         try:
-            if deadline is not None and time.monotonic() > deadline:
-                # The budget was consumed before execution began (queue
-                # wait under admission control): fail fast, before paying
-                # for planning.  Logged below like any other timeout.
-                self._m_timeouts.inc()
-                raise QueryTimeoutError(
-                    "statement deadline exceeded before execution began"
-                )
-            plan, tally, operators_before, bind_s, optimize_s = self._plan_with_trace(
-                query, optimize, sql, query_id=query_id
+            with tracer.span("query", sql=stmt.sql) as stmt.span:
+                statement = stmt.parsed
+                try:
+                    if statement is None:
+                        with tracer.span("parse"):
+                            if cache is not None:
+                                shape_key, values, tokens = _shape_key(stmt.sql)
+                                entry = cache.probe(
+                                    shape_key, values, self._plan_cache_env(),
+                                    self._plan_cache_stats_sig,
+                                )
+                            if entry is None:
+                                statement = parse_statement(stmt.sql, tokens=tokens)
+                finally:
+                    stmt.parse_s = time.perf_counter() - stmt.start
+                    if stmt.is_query or isinstance(statement, ast.Query):
+                        stmt.seq = next(self._query_seq)
+                        stmt.query_id = f"q{stmt.seq}"
+                        if stmt.span is not None:
+                            stmt.span.attributes["query_id"] = stmt.query_id
+                if stmt.seq is None:
+                    outcome = self._route(statement, stmt.txn, stmt.sql)
+                elif entry is None and not isinstance(statement, ast.Query):
+                    raise ExecutionError("query() expects a SELECT statement")
+                else:
+                    outcome = self._execute_query(stmt, statement, entry, values)
+        except BaseException as exc:
+            self._finish(stmt, None, exc)
+            raise
+        self._finish(stmt, outcome, None)
+        # Promotion is cache upkeep for later statements, not part of this
+        # one: it runs after the statement's telemetry is written.
+        if shape_key is not None and entry is None and cache.should_promote(shape_key):
+            self._promote_shape(shape_key, stmt.sql, tokens, values, stmt.rewrite_fires)
+        return outcome
+
+    def _route(self, statement, txn: Transaction | None, sql: str):
+        if isinstance(statement, ast.CreateTable):
+            return self._create_table(statement)
+        if isinstance(statement, ast.CreateView):
+            return self._create_view(statement, sql)
+        if isinstance(statement, ast.DropStatement):
+            return self._drop(statement)
+        if isinstance(statement, ast.Insert):
+            return self._with_txn(txn, lambda t: self._insert(statement, t))
+        if isinstance(statement, ast.Update):
+            return self._with_txn(txn, lambda t: self._update(statement, t))
+        if isinstance(statement, ast.Delete):
+            return self._with_txn(txn, lambda t: self._delete(statement, t))
+        raise ExecutionError(f"unsupported statement {type(statement).__name__}")
+
+    def _execute_query(self, stmt: _Statement, query, entry, values) -> QueryResult:
+        """Plan one query from its source — cold, or the probed plan-cache
+        ``entry`` — and execute it under one snapshot."""
+        tracer = self.spans
+        deadline = stmt.deadline
+        if deadline is not None and time.monotonic() > deadline:
+            # The budget was consumed before execution began (queue wait
+            # under admission control): fail fast, before paying for
+            # planning.  Logged like any other timeout.
+            raise QueryTimeoutError(
+                "statement deadline exceeded before execution began"
             )
-            execute_started = time.perf_counter()
+        if entry is None:
+            plan, physical = self._plan_cold(stmt, query), None
+        else:
+            # A hit skips parse, bind, and every optimizer pass; what they
+            # would have reported comes from the entry.
+            plan, physical = self._materialize_cached(entry, values)
+            stmt.operators_before = entry.operators_before
+            stmt.operators_after = entry.operators_after
+            stmt.rewrite_fires = entry.rewrite_fires
+            trace = self._open_trace(stmt)
+            if trace is not None:
+                trace.rewrite_counts.update(entry.rewrite_fires)
+        stmt.plan = plan
+        # Plan feedback runs every query under a collector so per-operator
+        # actuals and est/actual Q-error land in the query log
+        # unconditionally; span trees stay opt-in.
+        collector = (
+            ExecutionCollector()
+            if self._plan_feedback or tracer.enabled or stmt.analyze else None
+        )
+        started = time.perf_counter()
+        with tracer.span("execute") as execute_span:
+            txn = stmt.txn
+            snapshot = self.begin() if txn is None else txn
             try:
-                # Plan feedback runs every query under a collector so
-                # per-operator actuals and est/actual Q-error land in the
-                # query log unconditionally; span trees stay opt-in.
-                collector = (
-                    ExecutionCollector()
-                    if (self._plan_feedback or tracer.enabled) else None
-                )
-                if not tracer.enabled:
-                    result = self._execute_plan(
-                        plan, txn, collector, deadline=deadline
+                if physical is None:
+                    result = self._executor.execute(
+                        plan, snapshot, collector, deadline
                     )
                 else:
-                    with tracer.span("execute") as execute_span:
-                        result = self._execute_plan(
-                            plan, txn, collector, deadline=deadline
-                        )
-                    attach_operator_spans(execute_span, collector)
+                    result = self._executor.execute_physical(
+                        plan, physical, snapshot, collector, deadline
+                    )
+            finally:
+                if txn is None:
+                    self.commit(snapshot)
+        stmt.execute_s = time.perf_counter() - started
+        if collector is not None:
+            collector.elapsed_s = stmt.execute_s
+            collector.result_rows = len(result.rows)
+            stmt.collector = collector
+            if execute_span is not None:
+                attach_operator_spans(execute_span, collector)
+            if stmt.trace is not None:
+                stmt.trace.execution = collector
+        return result
+
+    def _finish(self, stmt: _Statement, outcome, exc: BaseException | None) -> None:
+        """Statement-end telemetry.  The only writer of the query log,
+        :class:`QueryStats`, the ``queries.*``/``plan.*`` metrics, the slow
+        log, the operator/feedback rings and the capture record — for every
+        plan source and every outcome."""
+        elapsed = time.perf_counter() - stmt.start
+        if stmt.seq is not None:
+            query_id = stmt.query_id
+            status = "ok"
+            if exc is None:
+                collector = stmt.collector
                 if collector is not None:
                     self.query_log.record_operators(query_id, collector)
                     self._record_feedback(query_id, collector)
-            except QueryTimeoutError:
-                self._m_timeouts.inc()
-                raise
-            execute_s = time.perf_counter() - execute_started
-            elapsed = time.perf_counter() - start
-            operators_after = sum(1 for _ in plan.walk())
-            self._m_queries.inc()
-            self._m_latency.observe(elapsed)
-            self._m_ops_before.observe(operators_before)
-            self._m_ops_after.observe(operators_after)
-            result.stats = QueryStats(
-                elapsed_s=elapsed,
-                operators_before=operators_before,
-                operators_after=operators_after,
-                rewrite_fires=dict(tally.rewrite_counts) if tally is not None else {},
-                query_id=query_id,
-            )
-            slowlog = self.slow_queries
-            if slowlog.threshold_s is not None and elapsed >= slowlog.threshold_s:
-                slowlog.record(
-                    sql=sql,
+                self._m_queries.inc()
+                self._m_latency.observe(elapsed)
+                self._m_ops_before.observe(stmt.operators_before)
+                self._m_ops_after.observe(stmt.operators_after)
+                outcome.stats = QueryStats(
                     elapsed_s=elapsed,
-                    plan=explain_plan(plan),
-                    rewrite_fires=dict(tally.rewrite_counts) if tally else {},
-                    span_root=tracer.root() if tracer.enabled else None,
+                    operators_before=stmt.operators_before,
+                    operators_after=stmt.operators_after,
+                    rewrite_fires=dict(stmt.rewrite_fires),
                     query_id=query_id,
-                    plan_summary=self._plan_summary(plan),
                 )
-            return result
-        except QueryTimeoutError as exc:
-            status, error_text = "timeout", str(exc)
-            raise
-        except Exception as exc:
-            status, error_text = "error", str(exc)
-            raise
-        finally:
+                slowlog = self.slow_queries
+                if slowlog.threshold_s is not None and elapsed >= slowlog.threshold_s:
+                    slowlog.record(
+                        sql=stmt.sql,
+                        elapsed_s=elapsed,
+                        plan=explain_plan(stmt.plan),
+                        rewrite_fires=dict(stmt.rewrite_fires),
+                        span_root=stmt.span,
+                        query_id=query_id,
+                        plan_summary=self._plan_summary(stmt.plan),
+                    )
+            elif isinstance(exc, QueryTimeoutError):
+                status = "timeout"
+                self._m_timeouts.inc()
+            else:
+                status = "error"
             # Appended on completion (never mid-flight), so a query over
             # sys.query_log does not observe itself; afterwards it appears
             # exactly once, whatever its outcome.
             self.query_log.record(QueryLogEntry(
                 query_id=query_id,
-                sql=sql,
+                sql=stmt.sql,
                 status=status,
-                error=error_text,
-                started_at=started_at,
-                elapsed_s=time.perf_counter() - start,
-                parse_s=parse_s,
-                bind_s=bind_s,
-                optimize_s=optimize_s,
-                execute_s=execute_s,
-                rows=None if result is None else len(result.rows),
-                operators_before=operators_before,
-                operators_after=operators_after,
-                rewrite_fires=(
-                    sum(tally.rewrite_counts.values()) if tally is not None else 0
-                ),
-                seq=seq,
+                error=None if exc is None else str(exc),
+                started_at=stmt.started_at,
+                elapsed_s=elapsed,
+                parse_s=stmt.parse_s,
+                bind_s=stmt.bind_s,
+                optimize_s=stmt.optimize_s,
+                execute_s=stmt.execute_s,
+                rows=None if outcome is None else len(outcome.rows),
+                operators_before=stmt.operators_before,
+                operators_after=stmt.operators_after,
+                rewrite_fires=sum(stmt.rewrite_fires.values()),
+                seq=stmt.seq,
             ))
+        recorder = self.capture
+        # A nested INSERT ... SELECT is part of its INSERT's capture record.
+        if recorder is not None and stmt.parsed is None:
+            if exc is None:
+                recorder.record_statement(stmt.sql, stmt.started_at, elapsed, outcome)
+            else:
+                recorder.record_error(stmt.sql, stmt.started_at, elapsed, exc)
 
     def _record_feedback(self, query_id: str, collector) -> None:
         """Persist one query's est/actual join and feed the Q-error metrics.
@@ -544,66 +598,80 @@ class Database:
         except Exception:
             return None
 
-    def _execute_plan(
-        self, plan: LogicalOp, txn: Transaction | None, collector=None,
-        deadline: float | None = None,
-    ) -> QueryResult:
-        if txn is not None:
-            return self._executor.execute(
-                plan, txn, collector=collector, deadline=deadline
+    # -- plan sources ---------------------------------------------------------
+
+    def _plan_cold(self, stmt: _Statement, query: "str | ast.Query") -> LogicalOp:
+        """The cold plan source: bind and (unless ``optimize=False``) run
+        the rewrite pipeline, recording rewrite provenance.
+
+        The optimizer always runs under at least a counting
+        :class:`RewriteTally` (absorbed into :attr:`metrics`); under
+        :attr:`tracing` a full :class:`QueryTrace` is kept on
+        :attr:`last_trace`.  Phase timings and operator counts land on
+        ``stmt`` and from there in ``sys.query_log``.
+        """
+        tracer = self.spans
+        started = time.perf_counter()
+        with tracer.span("bind"):
+            plan = self.bind(query)
+        stmt.bind_s = time.perf_counter() - started
+        stmt.operators_before = stmt.operators_after = sum(1 for _ in plan.walk())
+        if not stmt.optimize:
+            return plan
+        tally = self._open_trace(stmt) or RewriteTally()
+        started = time.perf_counter()
+        with tracer.span("optimize", profile=self._profile_name):
+            plan = optimize_plan(
+                plan, self._profile_name, self, trace=tally, spans=tracer
             )
-        snapshot = self.begin()
-        try:
-            return self._executor.execute(
-                plan, snapshot, collector=collector, deadline=deadline
-            )
-        finally:
-            self.commit(snapshot)
+        stmt.optimize_s = time.perf_counter() - started
+        self._absorb_trace(tally)
+        stmt.rewrite_fires = tally.rewrite_counts
+        stmt.operators_after = sum(1 for _ in plan.walk())
+        return plan
+
+    def _open_trace(self, stmt: _Statement) -> QueryTrace | None:
+        """Under :attr:`tracing`, this statement's fresh :class:`QueryTrace`,
+        published as :attr:`last_trace` — so a plan-cache hit (which fires
+        no rewrite events) never leaves an earlier statement's trace there."""
+        if not self._tracing:
+            return None
+        stmt.trace = trace = QueryTrace(sql=stmt.sql, profile=self._profile_name)
+        trace.span_root = stmt.span
+        trace.query_id = stmt.query_id
+        self._last_trace = trace
+        return trace
+
+    def _materialize_cached(self, entry, values: list):
+        """The plan-cache-hit plan source: generic plan + parameter values
+        → executable (plan, physical).
+
+        Exact value repeat: reuse the entry's compiled physical tree
+        outright.  Otherwise substitute Const nodes for the free Param
+        slots and compile fresh (zone-map prune bounds are recomputed
+        from the new values by the physical planner)."""
+        if entry.physical is not None and entry.last_values == tuple(values):
+            return entry.generic_plan, entry.physical
+        plan = entry.generic_plan
+        if entry.free_slots:
+            consts = {
+                slot: Const(values[slot], entry.param_types[slot])
+                for slot in entry.free_slots
+            }
+
+            def replace(node):
+                if isinstance(node, Param):
+                    return consts[node.slot]
+                return None
+
+            plan = rewrite_op_exprs(plan, lambda e: rewrite_expr(e, replace))
+        physical = self._executor.compile(
+            plan, _collect_used_cids(plan), estimate=self._plan_feedback
+        )
+        self.plan_cache.remember_compiled(entry, values, physical)
+        return plan, physical
 
     # -- parameterized plan cache ---------------------------------------------
-
-    def _query_with_plan_cache(
-        self, sql: str, txn: Transaction | None, deadline: float | None,
-    ) -> QueryResult:
-        """The plan-cache statement path: probe → hit or normal-run+promote.
-
-        A hit skips parse, bind, and every optimizer pass: the cached
-        generic plan gets this statement's literal values substituted for
-        its Param slots and compiles straight to the physical tree (or
-        reuses the previously compiled tree on an exact value repeat).
-        Anything unusual — lexer failure, non-query statements, shapes the
-        promotion gates refused — falls back to the fully normal path.
-        """
-        from .sql.normalize import extract_shape
-
-        cache = self.plan_cache
-        parse_started = time.perf_counter()
-        try:
-            shape, values, tokens = extract_shape(sql)
-        except Exception:
-            shape = values = tokens = None  # normal path raises properly
-        if shape is not None:
-            from .datatypes import type_of_literal
-
-            shape_key = (shape, tuple(type_of_literal(v) for v in values))
-            entry = cache.probe(
-                shape_key, values, self._plan_cache_env(),
-                self._plan_cache_stats_sig,
-            )
-            if entry is not None:
-                parse_s = time.perf_counter() - parse_started
-                return self._run_cached_hit(
-                    entry, values, txn, deadline, sql, parse_s
-                )
-        statement = parse_statement(sql, tokens=tokens)
-        parse_s = time.perf_counter() - parse_started
-        if not isinstance(statement, ast.Query):
-            raise ExecutionError("query() expects a SELECT statement")
-        result = self._run_query(statement, txn, True, sql=sql,
-                                 deadline=deadline, parse_s=parse_s)
-        if shape is not None and cache.should_promote(shape_key):
-            self._promote_shape(shape_key, sql, tokens, values, result.stats)
-        return result
 
     def _plan_cache_env(self) -> tuple:
         """Environment head of the hit-time fingerprint: anything that can
@@ -628,157 +696,23 @@ class Database:
                 sig.append(-1)
         return tuple(sig)
 
-    def _run_cached_hit(
-        self, entry, values: list, txn: Transaction | None,
-        deadline: float | None, sql: str, parse_s: float,
-    ) -> QueryResult:
-        """Execute a plan-cache hit with the same bookkeeping contract as
-        :meth:`_run_query` (query log, metrics, stats, slow-query log) —
-        minus the planning phases it skipped."""
-        seq = next(self._query_seq)
-        query_id = f"q{seq}"
-        started_at = time.time()
-        start = time.perf_counter()
-        status = "ok"
-        error_text: str | None = None
-        result: QueryResult | None = None
-        execute_s: float | None = None
-        try:
-            if deadline is not None and time.monotonic() > deadline:
-                self._m_timeouts.inc()
-                raise QueryTimeoutError(
-                    "statement deadline exceeded before execution began"
-                )
-            plan, physical = self._materialize_cached(entry, values)
-            execute_started = time.perf_counter()
-            try:
-                collector = ExecutionCollector() if self._plan_feedback else None
-                result = self._execute_cached_plan(
-                    plan, physical, txn, collector, deadline
-                )
-                if collector is not None:
-                    self.query_log.record_operators(query_id, collector)
-                    self._record_feedback(query_id, collector)
-            except QueryTimeoutError:
-                self._m_timeouts.inc()
-                raise
-            execute_s = time.perf_counter() - execute_started
-            elapsed = time.perf_counter() - start
-            self._m_queries.inc()
-            self._m_latency.observe(elapsed)
-            self._m_ops_before.observe(entry.operators_before)
-            self._m_ops_after.observe(entry.operators_after)
-            result.stats = QueryStats(
-                elapsed_s=elapsed,
-                operators_before=entry.operators_before,
-                operators_after=entry.operators_after,
-                rewrite_fires=dict(entry.rewrite_fires),
-                query_id=query_id,
-            )
-            slowlog = self.slow_queries
-            if slowlog.threshold_s is not None and elapsed >= slowlog.threshold_s:
-                slowlog.record(
-                    sql=sql,
-                    elapsed_s=elapsed,
-                    plan=explain_plan(plan),
-                    rewrite_fires=dict(entry.rewrite_fires),
-                    span_root=None,
-                    query_id=query_id,
-                    plan_summary=self._plan_summary(plan),
-                )
-            return result
-        except QueryTimeoutError as exc:
-            status, error_text = "timeout", str(exc)
-            raise
-        except Exception as exc:
-            status, error_text = "error", str(exc)
-            raise
-        finally:
-            self.query_log.record(QueryLogEntry(
-                query_id=query_id,
-                sql=sql,
-                status=status,
-                error=error_text,
-                started_at=started_at,
-                elapsed_s=time.perf_counter() - start,
-                parse_s=parse_s,
-                bind_s=None,
-                optimize_s=None,
-                execute_s=execute_s,
-                rows=None if result is None else len(result.rows),
-                operators_before=entry.operators_before,
-                operators_after=entry.operators_after,
-                rewrite_fires=sum(entry.rewrite_fires.values()),
-                seq=seq,
-            ))
-
-    def _materialize_cached(self, entry, values: list):
-        """Generic plan + parameter values → executable (plan, physical).
-
-        Exact value repeat: reuse the entry's compiled physical tree
-        outright.  Otherwise substitute Const nodes for the free Param
-        slots and compile fresh (zone-map prune bounds are recomputed
-        from the new values by the physical planner)."""
-        from .datatypes import type_of_literal
-        from .engine.executor import _collect_used_cids
-
-        if entry.physical is not None and entry.last_values == tuple(values):
-            return entry.generic_plan, entry.physical
-        if entry.free_slots:
-            from .algebra.expr import Const, Param, rewrite_expr
-            from .algebra.ops import rewrite_op_exprs
-
-            consts = {
-                slot: Const(values[slot], type_of_literal(values[slot]))
-                for slot in entry.free_slots
-            }
-
-            def replace(node):
-                if isinstance(node, Param):
-                    return consts[node.slot]
-                return None
-
-            plan = rewrite_op_exprs(
-                entry.generic_plan, lambda e: rewrite_expr(e, replace)
-            )
-        else:
-            plan = entry.generic_plan
-        used = _collect_used_cids(plan)
-        physical = self._executor.compile(plan, used, estimate=self._plan_feedback)
-        self.plan_cache.remember_compiled(entry, values, physical)
-        return plan, physical
-
-    def _execute_cached_plan(
-        self, plan: LogicalOp, physical, txn: Transaction | None,
-        collector=None, deadline: float | None = None,
-    ) -> QueryResult:
-        if txn is not None:
-            return self._executor.execute_physical(
-                plan, physical, txn, collector=collector, deadline=deadline
-            )
-        snapshot = self.begin()
-        try:
-            return self._executor.execute_physical(
-                plan, physical, snapshot, collector=collector, deadline=deadline
-            )
-        finally:
-            self.commit(snapshot)
-
     def _promote_shape(
-        self, shape_key: tuple, sql: str, tokens, values: list, stats,
+        self, shape_key: tuple, sql: str, tokens, values: list,
+        expected_fires: dict,
     ) -> None:
         """Build and store the generic plan for a shape seen twice.
 
         The value-bound execution that just finished is the reference:
         the generic (Param-bound) optimization must fire *exactly* the
-        same rewrites, or some value-dependent rewrite (constant folding,
-        conjunct dedup, Fig. 10c ASJ subsumption ...) fired on literal
-        values and a generic plan would be weaker or wrong for other
-        values — such shapes are negatively cached as uncacheable.  Bind
-        failures under parameterization (the binder's structural matching
-        is textual, and ``$n`` slots break it for duplicated literals)
-        and scalar subqueries (resolved per-execution) are uncacheable
-        for the same reason: correctness never depends on caching.
+        same rewrites (``expected_fires``), or some value-dependent
+        rewrite (constant folding, conjunct dedup, Fig. 10c ASJ
+        subsumption ...) fired on literal values and a generic plan would
+        be weaker or wrong for other values — such shapes are negatively
+        cached as uncacheable.  Bind failures under parameterization (the
+        binder's structural matching is textual, and ``$n`` slots break
+        it for duplicated literals) and scalar subqueries (resolved
+        per-execution) are uncacheable for the same reason: correctness
+        never depends on caching.
         """
         from .cache.plan_cache import (
             CachedPlan,
@@ -786,15 +720,11 @@ class Database:
             plan_has_scalar_subquery,
             plan_param_slots,
         )
-        from .optimizer.pipeline import optimize_plan
 
         cache = self.plan_cache
         env = self._plan_cache_env()  # before bind: later DDL must mismatch
         try:
             statement = parse_statement(sql, tokens=tokens, parameterize=True)
-            if not isinstance(statement, ast.Query):
-                cache.mark_uncacheable(shape_key)
-                return
             plan = Binder(self.catalog, parameterize=True).bind_query(statement)
             operators_before = sum(1 for _ in plan.walk())
             tally = RewriteTally()
@@ -802,9 +732,8 @@ class Database:
         except Exception:
             cache.mark_uncacheable(shape_key)
             return
-        fires = dict(tally.rewrite_counts)
-        expected = dict(stats.rewrite_fires) if stats is not None else {}
-        if fires != expected or plan_has_scalar_subquery(generic):
+        fires = tally.rewrite_counts
+        if fires != expected_fires or plan_has_scalar_subquery(generic):
             cache.mark_uncacheable(shape_key)
             return
         free = plan_param_slots(generic)
@@ -831,65 +760,12 @@ class Database:
         cache = self.plan_cache
         if cache is None:
             return None
-        from .sql.normalize import extract_shape
-
         try:
-            shape, values, _ = extract_shape(sql)
+            shape_key, values, _ = _shape_key(sql)
         except Exception:
             return None
-        from .datatypes import type_of_literal
-
-        shape_key = (shape, tuple(type_of_literal(v) for v in values))
         return cache.peek(shape_key, values, self._plan_cache_env(),
                           self._plan_cache_stats_sig)
-
-    def _plan_with_trace(
-        self, query: "str | ast.Query", optimize: bool, sql: str | None = None,
-        query_id: str | None = None,
-    ) -> tuple[LogicalOp, RewriteTally | None, int, float, float | None]:
-        """Bind and (optionally) optimize, recording rewrite provenance.
-
-        Always runs the optimizer under at least a counting
-        :class:`RewriteTally` (absorbed into :attr:`metrics`); under
-        :attr:`tracing` a full :class:`QueryTrace` is kept on
-        :attr:`last_trace`.  Returns
-        ``(plan, tally, operators_before, bind_s, optimize_s)`` — the phase
-        timings feed ``sys.query_log``.
-        """
-        tracer = self.spans
-        bind_started = time.perf_counter()
-        if tracer.enabled:
-            with tracer.span("bind"):
-                plan = self.bind(query)
-        else:
-            plan = self.bind(query)
-        bind_s = time.perf_counter() - bind_started
-        operators_before = sum(1 for _ in plan.walk())
-        if not optimize:
-            return plan, None, operators_before, bind_s, None
-        from .optimizer.pipeline import optimize_plan
-
-        if self.tracing:
-            if sql is None and isinstance(query, str):
-                sql = query
-            tally: RewriteTally = QueryTrace(sql=sql, profile=self._profile_name)
-        else:
-            tally = RewriteTally()
-        optimize_started = time.perf_counter()
-        if tracer.enabled:
-            with tracer.span("optimize", profile=self._profile_name):
-                plan = optimize_plan(
-                    plan, self._profile_name, self, trace=tally, spans=tracer
-                )
-        else:
-            plan = optimize_plan(plan, self._profile_name, self, trace=tally)
-        optimize_s = time.perf_counter() - optimize_started
-        self._absorb_trace(tally)
-        if tally.enabled:
-            self._last_trace = tally  # type: ignore[assignment]
-            tally.span_root = tracer.root()  # type: ignore[attr-defined]
-            tally.query_id = query_id  # type: ignore[attr-defined]
-        return plan, tally, operators_before, bind_s, optimize_s
 
     # -- planning ------------------------------------------------------------------
 
@@ -904,8 +780,7 @@ class Database:
 
     def plan_for(self, sql_or_query: "str | ast.Query", optimize: bool = True) -> LogicalOp:
         sql = sql_or_query if isinstance(sql_or_query, str) else None
-        plan, _, _, _, _ = self._plan_with_trace(sql_or_query, optimize, sql)
-        return plan
+        return self._plan_cold(_Statement(sql, optimize=optimize), sql_or_query)
 
     def explain(
         self, sql: str, optimize: bool = True, analyze: bool = False,
@@ -919,7 +794,9 @@ class Database:
         to ``optimize``, so the optimized plan is shown as the physical
         operator tree that would execute (BatchScan, HashJoin with its
         build side, ...) while ``optimize=False`` shows the raw logical
-        tree.  EXPLAIN ANALYZE always annotates the executed physical plan.
+        tree.  EXPLAIN ANALYZE always annotates the executed physical plan
+        and is a statement like any other: it gets a query id and its
+        ``sys.query_log`` / ``sys.operator_stats`` rows.
 
         Example::
 
@@ -934,28 +811,18 @@ class Database:
         operators additionally show their peak estimated memory
         (``peak≈…KB``).
         """
+        if analyze:
+            stmt = _Statement(sql, optimize=optimize, analyze=True)
+            self._run_statement(stmt)
+            return render_analyze(stmt.plan, stmt.collector)
         if physical is None:
             physical = optimize
-        if not analyze:
-            plan = self.plan_for(sql, optimize)
-            text = (explain_plan(self._executor.compile(plan)) if physical
-                    else explain_plan(plan))
-            if optimize and self._plan_cache_peek(sql) is not None:
-                text += "\n(cached)"
-            return text
-        from .observability.instrument import render_analyze, run_analyzed
-
         plan = self.plan_for(sql, optimize)
-        snapshot = self.begin()
-        try:
-            result, collector = run_analyzed(self._executor, plan, snapshot)
-        finally:
-            self.commit(snapshot)
-        self._m_queries.inc()
-        self._m_latency.observe(collector.elapsed_s)
-        if self._last_trace is not None and self.tracing:
-            self._last_trace.execution = collector
-        return render_analyze(plan, collector)
+        text = (explain_plan(self._executor.compile(plan)) if physical
+                else explain_plan(plan))
+        if optimize and self._plan_cache_peek(sql) is not None:
+            text += "\n(cached)"
+        return text
 
     def plan_statistics(self, sql: str, optimize: bool = True):
         return plan_stats(self.plan_for(sql, optimize))
@@ -1073,7 +940,9 @@ class Database:
 
         count = 0
         if statement.query is not None:
-            result = self._run_query(statement.query, txn)
+            result = self._run_statement(
+                _Statement(None, txn, parsed=statement.query)
+            )
             for row_values in result.rows:
                 table.insert(txn, build_row(row_values))
                 count += 1

@@ -12,7 +12,6 @@ read only live columns, and the materialized :class:`QueryResult`.
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, field
 
@@ -111,13 +110,6 @@ class Executor:
         memory_budget_bytes: int | None = None, vectorized: bool = True,
     ):
         self._catalog = catalog
-        # Per-statement state (deadline, collector) lives in thread-local
-        # storage: one Executor is shared by every session of a Database,
-        # and plain instance attributes would let concurrent statements
-        # tear each other's deadlines during the save/restore in execute().
-        # Thread-locality preserves the nested-execute inheritance below
-        # (scalar subqueries run on the caller's thread).
-        self._tls = threading.local()
         self._tracer = tracer
         self._faults = faults
         self._batch_size = max(1, batch_size)
@@ -159,24 +151,6 @@ class Executor:
     def batch_size(self) -> int:
         return self._batch_size
 
-    # Cooperative statement deadline (time.monotonic() value), checked
-    # inside every operator's per-batch loop; None means no timeout.
-    @property
-    def _deadline(self) -> float | None:
-        return getattr(self._tls, "deadline", None)
-
-    @_deadline.setter
-    def _deadline(self, value: float | None) -> None:
-        self._tls.deadline = value
-
-    @property
-    def _collector(self):
-        return getattr(self._tls, "collector", None)
-
-    @_collector.setter
-    def _collector(self, value) -> None:
-        self._tls.collector = value
-
     def compile(
         self, plan: ops.LogicalOp, used: frozenset[int] | None = None,
         estimate: bool | None = None,
@@ -193,73 +167,48 @@ class Executor:
         self, plan: ops.LogicalOp, txn: Transaction, collector=None,
         deadline: float | None = None,
     ) -> QueryResult:
-        # A nested execute (scalar subqueries) without its own deadline or
-        # collector inherits the enclosing statement's — the time budget is
-        # per statement, and EXPLAIN ANALYZE's rows_scanned counts subquery
-        # scans too.
-        previous_deadline = self._deadline
-        if deadline is not None:
-            self._deadline = deadline
-        previous_collector = self._collector
-        if collector is not None:
-            self._collector = collector
-        try:
-            # Scalar-subquery resolution may rewrite the tree; record the
-            # tree that actually runs so EXPLAIN ANALYZE annotates it.
-            resolved = self._resolve_scalar_subqueries(plan, txn)
-            used = _collect_used_cids(resolved)
-            physical = self.compile(
-                resolved, used,
-                estimate=self._plan_feedback or collector is not None,
-            )
-            return self._drain(resolved, physical, txn,
-                               instrumented=collector is not None)
-        finally:
-            self._deadline = previous_deadline
-            self._collector = previous_collector
+        """Resolve scalar subqueries under ``txn``, compile, and run.
+
+        ``deadline`` is the cooperative statement deadline (a
+        ``time.monotonic()`` value checked inside every operator's
+        per-batch loop; None means no timeout).  Scalar subqueries run
+        under the same deadline and collector — the time budget is per
+        statement, and EXPLAIN ANALYZE's rows_scanned counts subquery
+        scans too.
+        """
+        # Scalar-subquery resolution may rewrite the tree; the resolved
+        # tree is the one that runs, so EXPLAIN ANALYZE annotates it.
+        resolved = self._resolve_scalar_subqueries(plan, txn, collector, deadline)
+        physical = self.compile(
+            resolved, _collect_used_cids(resolved),
+            estimate=self._plan_feedback or collector is not None,
+        )
+        return self.execute_physical(resolved, physical, txn, collector, deadline)
 
     def execute_physical(
         self, resolved: ops.LogicalOp, physical, txn: Transaction,
         collector=None, deadline: float | None = None,
     ) -> QueryResult:
-        """Run a prebuilt physical operator tree (the plan-cache hit path).
+        """Stream a prebuilt physical operator tree to completion and
+        materialize the result (a plan-cache hit starts here).
 
         ``resolved`` is the logical plan the tree was compiled from — only
         its ``output`` columns are consulted, for result naming.  The tree
         must be free of scalar subqueries (the cache refuses such plans).
         """
-        previous_deadline = self._deadline
-        if deadline is not None:
-            self._deadline = deadline
-        previous_collector = self._collector
-        if collector is not None:
-            self._collector = collector
-        try:
-            return self._drain(resolved, physical, txn,
-                               instrumented=collector is not None)
-        finally:
-            self._deadline = previous_deadline
-            self._collector = previous_collector
-
-    def _drain(
-        self, resolved: ops.LogicalOp, physical, txn: Transaction, *,
-        instrumented: bool,
-    ) -> QueryResult:
-        """Stream ``physical`` to completion and materialize the result."""
         # Each execution gets its own kernel tally (a nested scalar-subquery
         # execute tallies separately and restores ours); activating None is
         # the vectorized=False gate — kernels never engage without a tally.
         tally = kernels.KernelTally() if self._vectorized else None
         previous_tally = kernels.activate(tally)
         try:
-            active = self._collector
-            if active is not None and instrumented:
-                active.root = physical
+            if collector is not None:
+                collector.root = physical
             ctx = ExecContext(
                 self._catalog, txn,
                 batch_size=self._batch_size,
-                deadline=self._deadline,
-                collector=active,
+                deadline=deadline,
+                collector=collector,
                 faults=self._faults,
                 tracer=self._tracer,
                 m_batches=self._m_batches,
@@ -277,7 +226,7 @@ class Executor:
             finally:
                 stream.close()
             if tally is not None:
-                self._flush_tally(tally, physical, active)
+                self._flush_tally(tally, physical, collector)
             if self._m_peak is not None and ctx.peak_batch_rows:
                 self._m_peak.observe(ctx.peak_batch_rows)
             if self._m_op_peak is not None:
@@ -307,7 +256,8 @@ class Executor:
                     collector.record_kernels(op, *entry)
 
     def _resolve_scalar_subqueries(
-        self, plan: ops.LogicalOp, txn: Transaction
+        self, plan: ops.LogicalOp, txn: Transaction, collector=None,
+        deadline: float | None = None,
     ) -> ops.LogicalOp:
         """Evaluate uncorrelated scalar subqueries to constants under this
         query's snapshot, then substitute them into the plan."""
@@ -342,7 +292,9 @@ class Executor:
 
             def substitute(node: Expr) -> Expr | None:
                 if isinstance(node, ScalarSubquery):
-                    result = self.execute(node.plan, txn)  # type: ignore[arg-type]
+                    result = self.execute(  # type: ignore[arg-type]
+                        node.plan, txn, collector, deadline
+                    )
                     if len(result.rows) > 1:
                         raise ExecutionError(
                             f"scalar subquery returned {len(result.rows)} rows"

@@ -38,7 +38,6 @@ from .instrument import (  # noqa: F401
     ExecutionCollector,
     OperatorStats,
     render_analyze,
-    run_analyzed,
 )
 from .spans import (  # noqa: F401
     Span,

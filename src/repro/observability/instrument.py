@@ -16,7 +16,6 @@ are annotated ``(never executed)``.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 from ..algebra import ops
@@ -145,16 +144,6 @@ class ExecutionCollector:
             f"(actual rows={stats.rows_out} batches={stats.chunks} "
             f"time={stats.elapsed_s * 1e3:.3f}ms{early}{peak})"
         )
-
-
-def run_analyzed(executor, plan, txn):
-    """Execute ``plan`` under a fresh collector; returns (result, collector)."""
-    collector = ExecutionCollector()
-    start = time.perf_counter()
-    result = executor.execute(plan, txn, collector=collector)
-    collector.elapsed_s = time.perf_counter() - start
-    collector.result_rows = len(result.rows)
-    return result, collector
 
 
 def render_analyze(plan, collector) -> str:

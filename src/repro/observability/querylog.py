@@ -1,7 +1,9 @@
 """The engine-wide query log: the ring buffer behind ``sys.query_log``.
 
-Every statement that reaches :meth:`Database._run_query` appends one
-:class:`QueryLogEntry` on completion — success, error, or timeout — with
+Every query statement — cold plan, plan-cache hit, EXPLAIN ANALYZE, or
+one that failed before it could be parsed — appends one
+:class:`QueryLogEntry` on completion (success, error, or timeout) from
+the statement runner's single telemetry step, ``Database._finish``, with
 the per-phase timing breakdown (parse/bind/optimize/execute), the row
 count, and the rewrite-fire total.  A second ring keeps per-operator
 execution stats (:class:`OperatorStatRow`) for every completed query —

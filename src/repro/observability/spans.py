@@ -7,8 +7,9 @@ point-in-time events; spans nest into a tree.  The
 when tracing is enabled, opens a root ``query`` span per statement with
 children for
 
-- ``parse``  — lex + parse,
-- ``bind``   — name resolution / algebra construction,
+- ``parse``  — lex + plan-cache probe, + parse unless the probe hit,
+- ``bind``   — name resolution / algebra construction (a plan-cache hit
+  skips this and ``optimize``),
 - ``optimize`` — the rewrite pipeline, with one child span per fixpoint
   iteration and one per rule pass,
 - ``execute``  — plan execution, with one child span per plan operator

@@ -140,7 +140,7 @@ class QueryTrace(RewriteTally):
         self.sql = sql
         self.profile = profile
         self.events: list[TraceEvent] = []
-        self.execution = None  # ExecutionCollector, attached by EXPLAIN ANALYZE
+        self.execution = None  # the statement's ExecutionCollector, once it ran
         self.span_root = None  # Span tree root, attached when span tracing ran
         self.query_id: str | None = None  # joins against sys.query_log
         self._iteration: int | None = None

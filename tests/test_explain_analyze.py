@@ -133,8 +133,14 @@ def test_analyze_matches_plain_execution(demo_db):
     assert f"execution: {len(plain.rows)} row(s)" in text
 
 
-def test_executor_without_collector_records_nothing(demo_db):
-    # The default path must not leave a stale collector behind.
-    demo_db.explain("select o_id from orders", analyze=True)
-    assert demo_db._executor._collector is None
-    demo_db.query("select o_id from orders")  # still works untraced
+def test_executor_without_collector_records_nothing():
+    # The collector is per statement: EXPLAIN ANALYZE must not leave one
+    # behind for the next, uninstrumented query to record into.
+    db = Database(plan_feedback=False)
+    db.execute("create table orders (o_id int primary key)")
+    db.execute("insert into orders values (10),(11)")
+    db.explain("select o_id from orders", analyze=True)
+    analyzed = len(db.query_log.operator_rows())
+    assert analyzed > 0
+    db.query("select o_id from orders")  # still works untraced
+    assert len(db.query_log.operator_rows()) == analyzed

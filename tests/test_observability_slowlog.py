@@ -83,15 +83,6 @@ class TestCapturedDetail:
         assert "Join" not in entry.plan            # the AJ was removed
         assert entry.rewrite_fires.get("AJ declared", 0) >= 1
 
-    def test_span_tree_attached_only_under_tracing(self, db):
-        db.slow_queries.configure(threshold_s=0.0)
-        db.query("select a from t")
-        assert db.slow_queries.entries()[-1].span_root is None
-        db.tracing = True
-        db.query("select b from t")
-        root = db.slow_queries.entries()[-1].span_root
-        assert root is not None and root.name == "query"
-
     def test_to_dict_and_render(self, db):
         db.tracing = True
         db.slow_queries.configure(threshold_s=0.0)

@@ -342,10 +342,6 @@ class TestDatabaseWiring:
         database = Database(wal_enabled=False, plan_cache_size=0)
         assert "(disabled)" in doctor_report(database)
 
-    def test_queries_executed_counts_hits(self, db):
-        _spin(db, SQL, runs=5)
-        assert db.metrics.snapshot()["queries.executed"] == 5
-
 
 # ---------------------------------------------------------------------------
 # serving layer
