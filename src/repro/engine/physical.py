@@ -25,6 +25,7 @@ import functools
 import heapq
 import time
 import warnings
+from array import array
 from bisect import bisect_left, bisect_right
 from typing import Iterator
 
@@ -35,6 +36,8 @@ from ..vectors import (
     DictVector,
     FloatVector,
     IntVector,
+    column_nbytes,
+    concat_columns,
     decode_column,
     maybe_typed,
     pad_take_column,
@@ -1110,6 +1113,13 @@ class HashJoinExec(PhysicalOp):
       the join-side analogue of LIMIT's early termination.
     - SEMI/ANTI probes build key sets from the right and stream the left;
       an uncorrelated EXISTS pulls right batches only until the first row.
+
+    Every equi body works on key vectors (:func:`_join_keys`, one
+    normalized key per row) and gathers with index vectors.  A build whose
+    non-NULL keys are distinct — the augmentation join — maps key to row
+    directly; with ``build=right`` and no residual, a batch that emits
+    every anchor row once (LEFT OUTER always, inner when all matched)
+    passes the anchor's columns through by reference.
     """
 
     blocking = True  # at least one side is always materialized
@@ -1170,28 +1180,38 @@ class HashJoinExec(PhysicalOp):
         if ctx.track_mem:
             ctx.track_memory(self, build.estimated_bytes())
         memos: dict = {}
-        table = self._build_table(build, [re for _, re in self.equi], memos)
+        table, unique = _hash_build(
+            _join_keys([re for _, re in self.equi], build, memos)
+        )
         left_outer = self.logical.join_type is ops.JoinType.LEFT_OUTER
         if not table and not left_outer:
             return  # inner join against an empty/all-NULL build: no rows
+        get = table.get
+        # Without a residual, a LEFT OUTER miss is its own NULL extension.
+        miss = (-1,) if left_outer and not self.residual else ()
         probe_exprs = [le for le, _ in self.equi]
         stream = self.children[0].execute(ctx)
         try:
             for chunk in stream:
-                readers = _key_readers(probe_exprs, chunk, memos)
-                lidx: list[int] = []
-                ridx: list[int] = []
-                for i in range(chunk.row_count):
-                    key = tuple(read(i) for read in readers)
-                    if any(k is None for k in key):
+                keys = _join_keys(probe_exprs, chunk, memos)
+                if unique:
+                    ridx = [get(k, -1) for k in keys]
+                    if not self.residual and (left_outer or -1 not in ridx):
+                        # Every anchor row exactly once: zero-copy anchor.
+                        if ridx:
+                            yield self._combine(chunk, build, None, ridx)
                         continue
-                    for j in table.get(key, ()):
-                        lidx.append(i)
-                        ridx.append(j)
-                if self.residual and lidx:
-                    lidx, ridx = self._apply_residual(chunk, build, lidx, ridx)
-                if left_outer:
-                    lidx, ridx = _null_extend(lidx, ridx, chunk.row_count)
+                    lidx = [i for i, j in enumerate(ridx) if j >= 0]
+                    ridx = [j for j in ridx if j >= 0]
+                else:
+                    matches = [get(k, miss) for k in keys]
+                    lidx = [i for i, m in enumerate(matches) for _ in m]
+                    ridx = [j for m in matches for j in m]
+                if self.residual:
+                    if lidx:
+                        lidx, ridx = self._apply_residual(chunk, build, lidx, ridx)
+                    if left_outer:
+                        lidx, ridx = _null_extend(lidx, ridx, chunk.row_count)
                 if lidx:
                     yield self._combine(chunk, build, lidx, ridx)
         finally:
@@ -1201,66 +1221,73 @@ class HashJoinExec(PhysicalOp):
 
     def _run_build_left(self, ctx: ExecContext) -> Iterator[Chunk]:
         build = _materialize(self.children[0], ctx)
-        build_bytes = build.estimated_bytes() if ctx.track_mem else 0
+        held = build.estimated_bytes() if ctx.track_mem else 0
         if ctx.track_mem:
-            ctx.track_memory(self, build_bytes)
-        memos: dict = {}
-        table = self._build_table(build, [le for le, _ in self.equi], memos)
-        left_outer = self.logical.join_type is ops.JoinType.LEFT_OUTER
+            ctx.track_memory(self, held)
         if build.row_count == 0:
             return
-        pairs: list[tuple[int, int]] = []  # (left row, buffered right pos)
-        buffered: dict[int, list] = {cid: [] for cid in self.right_cids}
-        buffered_rows = 0
-        remaining = set(table) if (self.early_out and table) else None
+        memos: dict = {}
+        table, unique = _hash_build(
+            _join_keys([le for le, _ in self.equi], build, memos)
+        )
+        get = table.get
+        # Matched probe rows, gathered per batch; ``lrows[p]`` is the build
+        # row that buffered probe row ``p`` joined.
+        lrows = array("q")
+        pieces: dict[int, list] = {cid: [] for cid in self.right_cids}
+        remaining = set(table) if self.early_out else None
         probe_exprs = [re for _, re in self.equi]
         stream = self.children[1].execute(ctx)
         try:
             for chunk in stream:
-                readers = _key_readers(probe_exprs, chunk, memos)
-                lidx: list[int] = []
-                jidx: list[int] = []
-                for j in range(chunk.row_count):
-                    key = tuple(read(j) for read in readers)
-                    if any(k is None for k in key):
-                        continue
-                    hits = table.get(key)
-                    if not hits:
-                        continue
-                    for i in hits:
-                        lidx.append(i)
-                        jidx.append(j)
-                    if remaining is not None:
-                        remaining.discard(key)
+                keys = _join_keys(probe_exprs, chunk, memos)
+                if unique:
+                    hits = [get(k, -1) for k in keys]
+                    jidx = [j for j, i in enumerate(hits) if i >= 0]
+                    lidx = [i for i in hits if i >= 0]
+                else:
+                    matches = [get(k, ()) for k in keys]
+                    jidx = [j for j, m in enumerate(matches) for _ in m]
+                    lidx = [i for m in matches for i in m]
+                if remaining is not None:
+                    remaining.difference_update(keys)
                 if self.residual and lidx:
                     lidx, jidx = self._apply_residual(build, chunk, lidx, jidx)
-                chunk_cols = [
-                    (cid, chunk.column(cid) if chunk.has_column(cid) else None)
-                    for cid in self.right_cids
-                ]
-                for i, j in zip(lidx, jidx):
-                    pairs.append((i, buffered_rows))
-                    for cid, column in chunk_cols:
-                        buffered[cid].append(None if column is None else column[j])
-                    buffered_rows += 1
-                if ctx.track_mem:
-                    ctx.track_memory(
-                        self,
-                        build_bytes
-                        + Chunk(buffered, buffered_rows).estimated_bytes(),
-                    )
+                if lidx:
+                    lrows.extend(lidx)
+                    for cid, parts in pieces.items():
+                        parts.append(
+                            take_column(chunk.column(cid), jidx)
+                            if chunk.has_column(cid) else [None] * len(jidx)
+                        )
+                    if ctx.track_mem:
+                        held += 8 * len(lidx) + sum(
+                            column_nbytes(parts[-1]) for parts in pieces.values()
+                        )
+                        ctx.track_memory(self, held)
                 if remaining is not None and not remaining:
                     # Declared right-unique: every build key has found its
                     # (single) match — stop pulling the probe side.
                     break
         finally:
             stream.close()
-        right = Chunk(buffered, buffered_rows)
-        pairs.sort()  # anchor order: (left row id, right arrival order)
-        lidx = [i for i, _ in pairs]
-        ridx = [p for _, p in pairs]
-        if left_outer:
-            lidx, ridx = _null_extend(lidx, ridx, build.row_count)
+        matched = len(lrows)
+        right = Chunk(
+            {cid: concat_columns(ps) if ps else [] for cid, ps in pieces.items()},
+            matched,
+        )
+        if self.logical.join_type is ops.JoinType.LEFT_OUTER:
+            # Unmatched build rows go after the matches: positions past
+            # ``matched`` gather as -1, the NULL extension.
+            seen = set(lrows)
+            lrows.extend(i for i in range(build.row_count) if i not in seen)
+        # Anchor order: one stable argsort by build row keeps the probe's
+        # arrival order among one anchor row's matches.
+        order = sorted(range(len(lrows)), key=lrows.__getitem__)
+        lidx = array("q", [lrows[p] for p in order])
+        del lrows
+        ridx = array("q", [p if p < matched else -1 for p in order])
+        del order
         yield from _rebatch(self._combine(build, right, lidx, ridx), ctx.batch_size)
 
     # -- no equi keys: cross/theta --------------------------------------
@@ -1303,57 +1330,48 @@ class HashJoinExec(PhysicalOp):
                         break  # short-circuit: first batch answers EXISTS
             finally:
                 right_stream.close()
-            if has_row == is_anti:
-                return  # left side never executes
-            left_stream = self.children[0].execute(ctx)
-            try:
-                yield from left_stream
-            finally:
-                left_stream.close()
-            return
+            if has_row != is_anti:
+                yield from self._stream_left(ctx)
+            return  # otherwise the left side never executes
 
         if not self.equi or self.residual:
             raise ExecutionError(
                 "SEMI/ANTI joins support plain equi conditions only"
             )
-        members: set[tuple] = set()
-        right_has_null = False
+        members: set = set()
+        build_rows = 0
         memos: dict = {}
         build_exprs = [re for _, re in self.equi]
         right_stream = self.children[1].execute(ctx)
         try:
             for chunk in right_stream:
-                readers = _key_readers(build_exprs, chunk, memos)
-                for j in range(chunk.row_count):
-                    key = tuple(read(j) for read in readers)
-                    if any(k is None for k in key):
-                        right_has_null = True
-                        continue
-                    members.add(key)
+                build_rows += chunk.row_count
+                members.update(_join_keys(build_exprs, chunk, memos))
         finally:
             right_stream.close()
+        right_has_null = None in members
+        members.discard(None)
         if ctx.track_mem:
             ctx.track_memory(self, 64 + 100 * len(members))
+        if is_anti and not build_rows:
+            # x NOT IN (empty) is TRUE for every x, NULL included.
+            yield from self._stream_left(ctx)
+            return
+        if is_anti and op.null_aware and right_has_null:
+            return  # NOT IN over a NULL member: never TRUE
 
-        null_aware = op.null_aware
         probe_exprs = [le for le, _ in self.equi]
         stream = self.children[0].execute(ctx)
         try:
             for chunk in stream:
-                readers = _key_readers(probe_exprs, chunk, memos)
-                keep: list[int] = []
-                for i in range(chunk.row_count):
-                    key = tuple(read(i) for read in readers)
-                    if any(k is None for k in key):
-                        matched = None  # UNKNOWN
-                    elif key in members:
-                        matched = True
-                    elif null_aware and right_has_null:
-                        matched = None  # could match a NULL member: UNKNOWN
-                    else:
-                        matched = False
-                    if (matched is True) if not is_anti else (matched is False):
-                        keep.append(i)
+                keys = _join_keys(probe_exprs, chunk, memos)
+                if is_anti:
+                    keep = [
+                        i for i, k in enumerate(keys)
+                        if k is not None and k not in members
+                    ]
+                else:
+                    keep = [i for i, k in enumerate(keys) if k in members]
                 if len(keep) == chunk.row_count:
                     yield chunk
                 elif keep:
@@ -1363,33 +1381,28 @@ class HashJoinExec(PhysicalOp):
 
     # -- shared helpers -------------------------------------------------
 
-    @staticmethod
-    def _build_table(
-        build: Chunk, key_exprs, memos: dict
-    ) -> dict[tuple, list[int]]:
-        if build.row_count == 0:
-            return {}
-        readers = _key_readers(key_exprs, build, memos)
-        table: dict[tuple, list[int]] = {}
-        for j in range(build.row_count):
-            key = tuple(read(j) for read in readers)
-            if any(k is None for k in key):
-                continue
-            table.setdefault(key, []).append(j)
-        return table
+    def _stream_left(self, ctx: ExecContext) -> Iterator[Chunk]:
+        stream = self.children[0].execute(ctx)
+        try:
+            yield from stream
+        finally:
+            stream.close()
 
     def _combine(self, left_chunk: Chunk, right_chunk: Chunk,
-                 lidx: list[int], ridx: list[int]) -> Chunk:
+                 lidx, ridx) -> Chunk:
+        """Gather one output chunk; ``lidx=None`` passes every left row
+        through once, its columns by reference (the zero-copy anchor)."""
         columns: dict[int, object] = {}
         for cid in self.left_cids:
             if left_chunk.has_column(cid):
-                columns[cid] = take_column(left_chunk.column(cid), lidx)
+                col = left_chunk.column(cid)
+                columns[cid] = col if lidx is None else take_column(col, lidx)
         for cid in self.right_cids:
             if right_chunk.has_column(cid):
                 columns[cid] = pad_take_column(right_chunk.column(cid), ridx)
             else:
                 columns[cid] = [None] * len(ridx)
-        return Chunk(columns, len(lidx))
+        return Chunk(columns, len(ridx))
 
     def _apply_residual(self, left_chunk: Chunk, right_chunk: Chunk,
                         lidx: list[int], ridx: list[int]):
@@ -1463,52 +1476,48 @@ def _equi_pair(
     return None
 
 
-def _key_reader(col, memos: dict):
-    """``row -> normalized join-key value`` for one key column.
+def _join_keys(exprs, chunk: Chunk, memos: dict) -> list:
+    """One normalized, hashable join key per row of ``chunk``; ``None``
+    where any key part is NULL.  A multi-column key is a tuple."""
+    if not chunk.row_count:
+        return []  # an empty input may carry no columns at all
+    parts = [_key_vector(evaluate(expr, chunk), memos) for expr in exprs]
+    if len(parts) == 1:
+        return parts[0]
+    return [None if None in key else key for key in zip(*parts)]
 
-    Dictionary-coded columns normalize each distinct *code* once; the memo
-    is keyed by dictionary identity and shared across every batch of the
-    same fragment, so for repeated keys the per-row work is a code lookup —
-    the effective code-comparison path — and full decoding happens only on
-    dictionary mismatch (different fragments) or for first-seen codes.
+
+def _key_vector(col, memos: dict) -> list:
+    """Normalized key values of one column, ``None`` for NULL.
+
+    A dictionary-coded column goes through a ``code -> key`` translation
+    memo kept per dictionary for the whole join (``memos`` maps the
+    dictionary's id to ``(dictionary, memo)``; holding the dictionary
+    keeps the id from being reused).  Each batch normalizes only the codes
+    it carries that the memo has not seen, never the whole dictionary, so
+    a one-row probe against a large dictionary stays O(1).
     """
     if isinstance(col, DictVector):
-        memo = memos.get(id(col.dictionary))
-        if memo is None:
-            memo = memos[id(col.dictionary)] = {}
-        codes = col.codes
+        kernels.note_dict_compares(len(col.codes))
         dictionary = col.dictionary
-
-        def read(i: int, _codes=codes, _dict=dictionary, _memo=memo):
-            code = _codes[i]
-            if code < 0:
-                return None
-            value = _memo.get(code)
-            if value is None:  # dictionaries never hold None (NULL = -1)
-                value = _memo[code] = _norm_key(_dict[code])
-            return value
-
-        return read
-
-    def read(i: int, _col=col):
-        return _norm_key(_col[i])
-
-    return read
+        entry = memos.get(id(dictionary))
+        if entry is None:
+            entry = memos[id(dictionary)] = (dictionary, {-1: None})
+        memo = entry[1]
+        codes = col.codes
+        for code in set(codes).difference(memo):
+            memo[code] = _norm_key(dictionary[code])
+        return list(map(memo.__getitem__, codes))
+    if isinstance(col, IntVector):
+        return col.tolist()  # exact ints: already normalized
+    return [v if type(v) in _PLAIN_KEY_TYPES else _norm_key(v) for v in col]
 
 
-def _key_readers(exprs, chunk: Chunk, memos: dict) -> list:
-    """Per-row key readers for a batch, tallying code-level comparisons."""
-    cols = [evaluate(expr, chunk) for expr in exprs]
-    coded = sum(1 for col in cols if isinstance(col, DictVector))
-    if coded:
-        kernels.note_dict_compares(coded * chunk.row_count)
-    return [_key_reader(col, memos) for col in cols]
+_PLAIN_KEY_TYPES = frozenset((int, str, type(None)))
 
 
 def _norm_key(value: object) -> object:
     """Normalize join-key values so 1 == Decimal('1') hash-match."""
-    import decimal
-
     if isinstance(value, decimal.Decimal):
         if value == value.to_integral_value():
             return int(value)
@@ -1518,6 +1527,23 @@ def _norm_key(value: object) -> object:
     if isinstance(value, float) and value.is_integer():
         return int(value)
     return value
+
+
+def _hash_build(keys: list) -> tuple[dict, bool]:
+    """Hash a build side's key vector, NULL keys left out.
+
+    Returns ``(key -> row, True)`` when every non-NULL key is distinct —
+    detected from the data, not trusted from a declaration — and
+    ``(key -> [rows], False)`` otherwise.
+    """
+    index = {k: j for j, k in enumerate(keys) if k is not None}
+    if len(index) == len(keys) - keys.count(None):
+        return index, True
+    table: dict = {}
+    for j, k in enumerate(keys):
+        if k is not None:
+            table.setdefault(k, []).append(j)
+    return table, False
 
 
 # -- aggregate state ---------------------------------------------------------

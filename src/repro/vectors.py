@@ -104,7 +104,7 @@ class DictVector:
         codes = self.codes
         return DictVector(
             self.dictionary,
-            array("q", (codes[i] for i in indices)),
+            array("q", [codes[i] for i in indices]),
             self.sorted_dict,
             self._index,
         )
@@ -179,7 +179,7 @@ class _TypedVector:
     def take(self, indices):
         data = self.data
         nulls = self.nulls
-        out = array(self.typecode, (data[i] for i in indices))
+        out = array(self.typecode, [data[i] for i in indices])
         if nulls is None:
             return type(self)(out)
         new_nulls = {pos for pos, i in enumerate(indices) if i in nulls}
@@ -244,7 +244,7 @@ def pad_take_column(col, indices):
         codes = col.codes
         return DictVector(
             col.dictionary,
-            array("q", (codes[j] if j >= 0 else -1 for j in indices)),
+            array("q", [codes[j] if j >= 0 else -1 for j in indices]),
             col.sorted_dict,
             col._index,
         )

@@ -267,6 +267,14 @@ STATEMENTS += [
     Case("select id from bt_item where not exists "
          "(select gid from bt_grp where gid > 99)",
          columns=("id",), rows=N_ITEMS),
+    # NULL NOT IN (empty) is TRUE; against a non-empty subquery a NULL
+    # probe (grp 3 has no bt_grp row, so its gname is NULL) is UNKNOWN.
+    Case("select id from bv_join where gname not in "
+         "(select gname from bt_grp where gid > 99)",
+         columns=("id",), rows=N_ITEMS),
+    Case("select id from bv_join where gname not in "
+         "(select gname from bt_grp where gid = 0)",
+         columns=("id",), rows=_count(lambda r: r[1] in _GIDS - {0})),
 ]
 
 

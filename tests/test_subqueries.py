@@ -85,10 +85,13 @@ class TestInSubquery:
         db.execute("insert into p values (1), (null)")
         in_rows = db.query("select v from p where v in (select cust from o)").rows
         assert in_rows == [(1,)]
-        not_in = db.query(
-            "select v from p where v not in (select cust from o where cust = 99)"
-        ).rows
-        assert not_in == [(1,)]  # NULL probe is UNKNOWN even vs empty-ish set
+        empty = "select v from p where v not in (select cust from o where cust = 99)"
+        # NULL NOT IN (empty) is TRUE, as in SQL and sqlite3: the NULL
+        # probe is UNKNOWN only against a subquery with at least one row.
+        assert db.query(empty).rows == [(1,), (None,)]
+        assert db.query(empty, optimize=False).rows == [(1,), (None,)]
+        nonempty = "select v from p where v not in (select cust from o where cust = 3)"
+        assert db.query(nonempty).rows == [(1,)]
 
     def test_combined_with_plain_predicates(self, db):
         rows = db.query(
