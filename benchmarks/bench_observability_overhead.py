@@ -18,8 +18,8 @@ import time
 
 import pytest
 
+from repro import Database
 from repro.bench import write_report
-from conftest import _make_db
 
 ROWS = 3000
 GROUPS = 40
@@ -33,7 +33,7 @@ WORKLOAD = [
 
 
 def _bench_db(**kwargs):
-    db = _make_db(wal_enabled=False, **kwargs)
+    db = Database(wal_enabled=False, **kwargs)
     db.execute(
         "create table obs (id int primary key, v int, grp int not null)"
     )

@@ -18,7 +18,6 @@ import pytest
 
 from repro import Database
 from repro.bench import write_report
-from conftest import _make_db
 
 POINT_SQL = "select id, qty, gname from pc_top where id = 37"
 PARAM_SQL = "select id, qty, gname from pc_top where id = {key}"
@@ -51,14 +50,14 @@ def _load(db: Database) -> None:
 
 @pytest.fixture(scope="module")
 def cached_db() -> Database:
-    db = _make_db(wal_enabled=False, plan_cache_size=64)
+    db = Database(wal_enabled=False, plan_cache_size=64)
     _load(db)
     return db
 
 
 @pytest.fixture(scope="module")
 def uncached_db() -> Database:
-    db = _make_db(wal_enabled=False, plan_cache_size=0)
+    db = Database(wal_enabled=False, plan_cache_size=0)
     _load(db)
     return db
 

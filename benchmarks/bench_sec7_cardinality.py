@@ -80,6 +80,8 @@ def test_cardinality_report(sales_bench_db, benchmark):
         "has many rows per currency):\n"
         f"  {bad.summary()}\n",
     )
+    # The eliminated join is the deterministic gate; the timing floor only
+    # guards against the declared plan doing the join's work anyway.
     assert undeclared_joins == 1 and declared_joins == 0
     assert good.ok and not bad.ok
-    assert speedup > 2
+    assert speedup > 1.2

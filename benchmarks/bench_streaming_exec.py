@@ -32,8 +32,9 @@ import tracemalloc
 
 import pytest
 
+from repro import Database
 from repro.bench import write_report
-from conftest import _make_db, run_exec
+from conftest import run_exec
 
 ORDERS = 60000
 CUSTS = 500
@@ -51,7 +52,7 @@ AGG_SQL = (
 
 def _bench_db(batch_size: int):
     # Scalar row path on purpose: see the module docstring.
-    db = _make_db(wal_enabled=False, batch_size=batch_size, vectorized=False)
+    db = Database(wal_enabled=False, batch_size=batch_size, vectorized=False)
     db.execute(
         "create table bigorders (okey int primary key, cust int not null, "
         "total decimal(10,2), note varchar(20))"
@@ -184,7 +185,7 @@ def vectorized_db():
 
 
 def _bench_db_vectorized(vectorized: bool):
-    db = _make_db(
+    db = Database(
         wal_enabled=False, batch_size=STREAM_BATCH, vectorized=vectorized
     )
     db.execute(

@@ -10,6 +10,8 @@ import pytest
 from repro import Database
 from repro.algebra.ops import Join, Limit
 from repro.bench import format_matrix, write_report
+from repro.engine.physical import HashJoinExec
+from repro.observability import ExecutionCollector
 from repro.workloads import queries
 from conftest import run_exec
 
@@ -45,6 +47,14 @@ def limit_pushed(plan) -> bool:
         if isinstance(node, Join):
             return any(isinstance(x, Limit) for x in node.left.walk())
     return True  # join eliminated entirely also counts
+
+
+def anchor_rows_into_join(db, plan) -> int:
+    """Rows the paging join reads from its anchor (left) input in one run."""
+    collector = ExecutionCollector()
+    run_exec(db, plan, collector)
+    join = next(op for op in collector.root.walk() if isinstance(op, HashJoinExec))
+    return collector.stats_for(join.children[0]).rows_out
 
 
 def compute_matrix(db):
@@ -103,18 +113,29 @@ def test_fig6_speedup_report(paging_db, benchmark):
 
     timings = benchmark.pedantic(measure, rounds=1, iterations=1)
     speedup = timings["not pushed"] / timings["pushed"]
+    pushed_in = anchor_rows_into_join(
+        paging_db, paging_db.plan_for(PAGING_SQL, optimize=True)
+    )
+    unpushed_in = anchor_rows_into_join(
+        paging_db, paging_db.plan_for(PAGING_SQL, optimize=False)
+    )
     write_report(
         "fig6_paging",
         "Fig. 6 — paging query execution\n"
         "(order by total desc limit 100 offset 1 over 40k orders ⟕ 2k "
         "customers)\n\n"
-        f"with limit pushdown    : {timings['pushed']*1000:8.2f} ms\n"
-        f"without limit pushdown : {timings['not pushed']*1000:8.2f} ms\n"
+        f"with limit pushdown    : {timings['pushed']*1000:8.2f} ms, "
+        f"join reads {pushed_in:>6} anchor rows\n"
+        f"without limit pushdown : {timings['not pushed']*1000:8.2f} ms, "
+        f"join reads {unpushed_in:>6} anchor rows\n"
         f"speedup                : {speedup:8.1f}x\n\n"
         "Expected shape: the pushed plan runs the bounded-heap TopN over\n"
-        "the anchor alone and joins 101 rows; without the pushdown the\n"
+        "the anchor alone and joins one page of rows; without the pushdown the\n"
         "ORDER BY is a pipeline breaker above the join, so every one of\n"
         "the 40k augmented rows is built and ranked first (the effect the\n"
-        "paper calls out in §4.4).",
+        "paper calls out in §4.4).  The row counts are the deterministic\n"
+        "gate; the wall-clock ratio depends on how fast the join itself is.",
     )
-    assert speedup > 5
+    assert pushed_in <= 101
+    assert unpushed_in == 40000
+    assert speedup > 2

@@ -4,8 +4,8 @@ Unlike the per-table benchmarks (which time plan shapes or pre-optimized
 execution), this measures the whole pipeline — parse, bind, optimize,
 execute — over every evaluation query, the way a client would issue
 them.  Repeated rounds run against a warm plan cache, so the recorded
-timings reflect the serving-path steady state; the suite's totals land
-in BENCH_history like every other benchmark session.
+timings reflect the serving-path steady state.  The gated end-to-end
+measurement of this path is the ledger's ``vdm_analytics`` workload.
 """
 
 from repro.workloads.queries import all_suites

@@ -1,116 +1,22 @@
 """Benchmark fixtures: larger, session-scoped datasets.
 
-Set ``REPRO_DUMP_TRACES=1`` to record a :class:`repro.observability.trace.
-QueryTrace` for every query a benchmark optimizes and dump them (rewrite
-fires, pass changed-flags, iteration counts, convergence — no wall times,
-so the dump is stable across runs) to ``benchmarks/results/traces.json``.
-
-Every benchmark session also appends a machine-readable summary (median
-timings, rewrite-fire counts, operator tallies) to
-``benchmarks/results/BENCH_history.json``; ``python -m repro bench-diff``
-compares the last two entries.  Set ``REPRO_NO_BENCH_HISTORY=1`` to skip
-the append (e.g. for throwaway local runs).
+The ``bench_*.py`` files reproduce the paper's artifacts (tables and
+figures written by :func:`repro.bench.write_report`); the perf record
+that gates changes is the ledger (``benchmarks/ledger/``, declared in
+``BENCHMARK.json``).
 """
 
 from __future__ import annotations
 
-import json
-import os
-from pathlib import Path
-
 import pytest
 
 from repro import Database
-from repro.bench.history import append_run, summarize_benchmarks
 from repro.workloads import create_sales_schema, create_tpch_schema, load_sales, load_tpch
-
-DUMP_TRACES = bool(os.environ.get("REPRO_DUMP_TRACES"))
-BENCH_HISTORY = not os.environ.get("REPRO_NO_BENCH_HISTORY")
-RESULTS_DIR = Path(__file__).parent / "results"
-HISTORY_PATH = RESULTS_DIR / "BENCH_history.json"
-_collected_traces: list[dict] = []
-_session_dbs: list[Database] = []
-
-
-class _TraceDumpDatabase(Database):
-    """A Database that archives every query trace for the end-of-session dump."""
-
-    def _absorb_trace(self, tally) -> None:
-        super()._absorb_trace(tally)
-        if tally.enabled:
-            _collected_traces.append(tally.to_dict())
-
-
-def _make_db(**kwargs) -> Database:
-    if not DUMP_TRACES:
-        db = Database(**kwargs)
-    else:
-        db = _TraceDumpDatabase(**kwargs)
-        db.tracing = True
-    _session_dbs.append(db)
-    return db
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _dump_traces():
-    yield
-    if DUMP_TRACES and _collected_traces:
-        RESULTS_DIR.mkdir(exist_ok=True)
-        path = RESULTS_DIR / "traces.json"
-        path.write_text(json.dumps(_collected_traces, indent=1, default=str))
-
-
-def _aggregate_session_metrics() -> dict:
-    """Fold the session databases' registries into history-entry fields."""
-    rewrites: dict[str, int] = {}
-    queries = 0
-    before_sum = before_n = after_sum = after_n = 0.0
-    for db in _session_dbs:
-        snap = db.metrics.snapshot()
-        for name, value in snap.items():
-            if name.startswith("optimizer.rewrites."):
-                case = name[len("optimizer.rewrites."):]
-                rewrites[case] = rewrites.get(case, 0) + value
-        queries += snap.get("queries.executed", 0)
-        for key, sums in (("plan.operators_before", "before"),
-                          ("plan.operators_after", "after")):
-            summary = snap.get(key)
-            if isinstance(summary, dict) and summary["count"]:
-                if sums == "before":
-                    before_sum += summary["sum"]
-                    before_n += summary["count"]
-                else:
-                    after_sum += summary["sum"]
-                    after_n += summary["count"]
-    return {
-        "rewrites": dict(sorted(rewrites.items())),
-        "queries_executed": queries,
-        "operators": {
-            "before_mean": before_sum / before_n if before_n else None,
-            "after_mean": after_sum / after_n if after_n else None,
-        },
-    }
-
-
-def pytest_sessionfinish(session, exitstatus):
-    """Append this run's summary to BENCH_history.json."""
-    if not BENCH_HISTORY:
-        return
-    bench_session = getattr(session.config, "_benchmarksession", None)
-    benchmarks = getattr(bench_session, "benchmarks", None) or []
-    if not benchmarks and not _session_dbs:
-        return  # collection-only / unrelated invocation
-    entry = {
-        "argv": list(session.config.invocation_params.args),
-        "benchmarks": summarize_benchmarks(benchmarks),
-    }
-    entry.update(_aggregate_session_metrics())
-    append_run(entry, HISTORY_PATH)
 
 
 @pytest.fixture(scope="session")
 def tpch_bench_db() -> Database:
-    db = _make_db(wal_enabled=False)
+    db = Database(wal_enabled=False)
     create_tpch_schema(db)
     load_tpch(db, scale=0.01)  # ~1.5k customers / ~4.4k lineitems
     db.execute("create table ta (key int primary key, a int, ext int)")
@@ -122,7 +28,7 @@ def tpch_bench_db() -> Database:
 
 @pytest.fixture(scope="session")
 def sales_bench_db() -> Database:
-    db = _make_db(wal_enabled=False)
+    db = Database(wal_enabled=False)
     create_sales_schema(db)
     load_sales(db, orders=15000)  # ~37k line items
     return db
@@ -132,16 +38,17 @@ def sales_bench_db() -> Database:
 def journal_bench():
     from repro.vdm.journal import JournalModel
 
-    db = _make_db(wal_enabled=False)
+    db = Database(wal_enabled=False)
     model = JournalModel(db, rows=5000).build()
     return db, model
 
 
-def run_exec(db, plan):
+def run_exec(db, plan, collector=None):
     """Execute a pre-optimized plan (excluding optimization time, as the
-    paper's Fig. 14 measurement does)."""
+    paper's Fig. 14 measurement does); ``collector`` is an optional
+    :class:`repro.observability.ExecutionCollector`."""
     txn = db.begin()
     try:
-        return db._executor.execute(plan, txn)
+        return db._executor.execute(plan, txn, collector=collector)
     finally:
         db.commit(txn)

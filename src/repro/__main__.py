@@ -30,13 +30,12 @@ Subcommands (run against the built-in demo schema):
   python -m repro serve [--port N] [--max-concurrent N] [--max-queue N]
                         [--rate QPS] [--timeout SECONDS] [--profile NAME]
                         [--plan-cache-size N]
-  python -m repro bench-diff [--history PATH] [--threshold PCT]
   python -m repro chaos [--seed N] [--ops N] [--fsync POLICY] [--wal-dir DIR]
                         [--batch-size N] [--threads N] [--rounds N]
   python -m repro fuzz  [--runs N] [--seed N] [--time-budget SECONDS]
                         [--corpus-dir DIR] [--profile NAME] [--no-reduce]
   python -m repro replay CAPTURE.jsonl [--check-digests] [--profile NAME]
-                        [--batch-size N] [--threshold PCT] [--history PATH]
+                        [--batch-size N] [--threshold PCT]
 """
 
 from __future__ import annotations
@@ -277,15 +276,6 @@ def run_subcommand(argv: list[str]) -> int:
                            help="parameterized plan-cache capacity shared "
                                 "by all tenants (default: 128; 0 disables)")
 
-    p_diff = sub.add_parser(
-        "bench-diff",
-        help="compare the last two benchmark runs in BENCH_history.json",
-    )
-    p_diff.add_argument("--history", default=None,
-                        help="history file (default: benchmarks/results/BENCH_history.json)")
-    p_diff.add_argument("--threshold", type=float, default=None,
-                        help="regression threshold in percent (default: 20)")
-
     p_chaos = sub.add_parser(
         "chaos",
         help="kill-and-recover chaos campaign against the durable WAL",
@@ -357,13 +347,8 @@ def run_subcommand(argv: list[str]) -> int:
     p_replay.add_argument("--threshold", type=float, default=None,
                           help="latency regression threshold in percent "
                                "(default: 50)")
-    p_replay.add_argument("--history", default=None,
-                          help="also append the replayed medians to this "
-                               "BENCH_history.json file")
 
     options = parser.parse_args(argv)
-    if options.command == "bench-diff":
-        return _run_bench_diff(options)
     if options.command == "chaos":
         return _run_chaos(options)
     if options.command == "fuzz":
@@ -579,35 +564,12 @@ def _run_replay(options) -> int:
             profile=options.profile,
             batch_size=options.batch_size,
             threshold=threshold,
-            history_path=options.history,
         )
     except (OSError, ReproError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     print(report.render())
     return 0 if report.ok else 1
-
-
-def _run_bench_diff(options) -> int:
-    from .bench.history import (
-        DEFAULT_HISTORY, DEFAULT_THRESHOLD, diff_last_two, load_history,
-    )
-
-    path = options.history or DEFAULT_HISTORY
-    threshold = (options.threshold / 100.0 if options.threshold is not None
-                 else DEFAULT_THRESHOLD)
-    try:
-        history = load_history(path)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    if len(history) < 2:
-        print(f"bench-diff: need two runs in {path}, have {len(history)} — "
-              "run the benchmarks twice first")
-        return 0
-    report = diff_last_two(history, threshold)
-    print(report.render())
-    return 1 if report.regressions else 0
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,11 +1,3 @@
-"""Benchmark support: reproduced-artifact reporting and perf history."""
+"""Benchmark support: reproduced-artifact reporting."""
 
 from .reporting import format_matrix, write_report  # noqa: F401
-from .history import (  # noqa: F401
-    DEFAULT_HISTORY,
-    DEFAULT_THRESHOLD,
-    append_run,
-    diff_last_two,
-    load_history,
-    summarize_benchmarks,
-)

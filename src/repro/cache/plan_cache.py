@@ -2,8 +2,9 @@
 
 Heavy traffic is mostly repeated statement *shapes* — the same SQL with
 different literals (the paper's S/4HANA reality: a handful of generated
-statement shapes executed millions of times).  BENCH_history shows the
-parse→bind→optimize pipeline dominating cheap queries, so this module
+statement shapes executed millions of times).  For cheap queries the
+parse→bind→optimize pipeline dominates (the perf ledger's per-layer
+``bench.planning_share`` measures it), so this module
 caches the *optimized generic plan* per shape and re-binds only the
 literal parameters on a hit, skipping parse, bind, and every optimizer
 pass.

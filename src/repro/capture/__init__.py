@@ -4,8 +4,8 @@
 one durable JSONL record per executed statement — SQL, timings, status,
 shape hash, and a result digest for queries.  :func:`replay_workload`
 re-executes a captured file against the current build, verifies the
-digests, and reports per-shape latency deltas through the existing
-``bench-diff`` machinery (``python -m repro replay``).
+digests, checks error parity, and reports per-shape latency deltas
+(``python -m repro replay``).
 """
 
 from .recorder import WorkloadRecorder, result_digest  # noqa: F401

@@ -14,7 +14,8 @@ The digest is order-insensitive (a sha256 over the sorted canonicalized
 rows plus the column names), so replays on a build with a different —
 equally correct — physical plan still verify, while any wrong *content*
 is caught.  Appends are flushed per record: a capture survives the
-process dying mid-workload, which is the point.
+process dying mid-workload, which is the point.  A later session appends
+to the same file, continuing ``seq`` after the last record.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import json
 import os
 
 from ..catalog.systables import SYS_PREFIX
+from ..errors import ReproError
 from ..sql.normalize import shape_hash
 
 CAPTURE_FORMAT = 1
@@ -71,7 +73,7 @@ class WorkloadRecorder:
                  profile: str | None = None):
         os.makedirs(capture_dir, exist_ok=True)
         self.path = os.path.join(capture_dir, filename)
-        self._seq = 0
+        self._seq = self._resume() if os.path.exists(self.path) else 0
         fresh = not os.path.exists(self.path) or os.path.getsize(self.path) == 0
         self._handle = open(self.path, "a", encoding="utf-8")
         if fresh:
@@ -80,6 +82,25 @@ class WorkloadRecorder:
                 "format": CAPTURE_FORMAT,
                 "profile": profile,
             })
+
+    def _resume(self) -> int:
+        """Prepare an existing capture for appending; returns its last
+        ``seq``.  A malformed final line (the previous writer died
+        mid-append) is cut off so this session's records never follow it."""
+        with open(self.path, "rb+") as handle:
+            data = handle.read()
+            body = data.rstrip()
+            start = body.rfind(b"\n") + 1
+            try:
+                complete = isinstance(json.loads(body[start:]), dict)
+            except ValueError:
+                complete = False
+            if not complete:
+                handle.truncate(start)
+            elif not data.endswith(b"\n"):
+                handle.write(b"\n")         # complete record, newline lost
+        _header, records = load_capture(self.path)
+        return records[-1].get("seq", len(records)) if records else 0
 
     def record_statement(self, sql: str, started_at: float, elapsed_s: float,
                          outcome) -> None:
@@ -135,19 +156,30 @@ def load_capture(path: str) -> tuple[dict | None, list[dict]]:
     """Read a capture file into (header, statement records).
 
     Tolerates a torn trailing line (the process may have died mid-append —
-    the capture is still usable up to that point).
+    the capture is still usable up to that point).  A malformed line with
+    records after it is corruption, not a torn tail: it raises
+    :class:`ReproError` naming the file and line.
     """
     header: dict | None = None
     records: list[dict] = []
+    torn_at: int | None = None
     with open(path, encoding="utf-8") as handle:
-        for line in handle:
+        for lineno, line in enumerate(handle, 1):
             line = line.strip()
             if not line:
                 continue
+            if torn_at is not None:
+                raise ReproError(
+                    f"{path}:{torn_at}: malformed capture record "
+                    "followed by more records"
+                )
             try:
                 entry = json.loads(line)
             except json.JSONDecodeError:
-                break
+                entry = None
+            if not isinstance(entry, dict):
+                torn_at = lineno
+                continue
             if entry.get("kind") == "header":
                 header = entry
             else:

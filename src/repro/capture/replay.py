@@ -7,11 +7,10 @@ Every statement record is re-executed in capture order on a fresh
    must match the captured one (``check_digests``); a mismatch is a
    correctness regression attributed to one exact SQL statement.
 2. **Per-shape latency deltas** — captured vs replayed medians grouped by
-   the normalized shape hash, rendered through the same
-   :class:`~repro.bench.history.DiffReport` machinery as
-   ``python -m repro bench-diff`` (and optionally appended to a
-   ``BENCH_history.json`` file), so a captured production workload becomes
-   a regression-attribution benchmark.
+   the normalized shape hash, each flagged ``REGRESSION`` or ``improved``
+   beyond the threshold, so a captured production workload points at the
+   statement shapes whose latency moved.  The flags are informational:
+   captured timings come from another process (often another machine).
 3. **Error-statement parity** — a statement that failed at capture time is
    expected to fail on replay too (and vice versa).
 """
@@ -22,7 +21,6 @@ import statistics
 import time
 from dataclasses import dataclass, field
 
-from ..bench.history import DiffReport, append_run, diff_last_two
 from ..errors import ReproError
 from .recorder import load_capture, result_digest
 
@@ -54,12 +52,14 @@ class ReplayError:
 @dataclass
 class ReplayReport:
     path: str
+    threshold: float = REPLAY_THRESHOLD
     statements: int = 0
     queries: int = 0
     digests_checked: int = 0
     mismatches: list[DigestMismatch] = field(default_factory=list)
     errors: list[ReplayError] = field(default_factory=list)
-    diff: DiffReport | None = None
+    #: (shape, captured median s, replayed median s), one entry per shape.
+    latencies: list[tuple[str, float, float]] = field(default_factory=list)
     shape_examples: dict[str, str] = field(default_factory=dict)
 
     @property
@@ -80,15 +80,29 @@ class ReplayReport:
             lines.append(f"  MISMATCH {mismatch}")
         for error in self.errors:
             lines.append(f"  ERROR {error}")
-        if self.diff is not None:
+        if self.latencies:
             lines.append("")
-            lines.append(self.diff.render())
-            if self.shape_examples:
-                lines.append("shapes:")
-                for shape, sql in sorted(self.shape_examples.items()):
-                    example = sql if len(sql) <= 90 else sql[:87] + "..."
-                    lines.append(f"  {shape}  {example}")
+            lines.append("latency by shape, captured -> replayed "
+                         f"(flagged beyond {self.threshold * 100:.0f}%):")
+        # Worst ratio first, like any regression report.
+        for shape, captured_s, replayed_s in sorted(
+            self.latencies, key=lambda item: -_ratio(item[1], item[2])
+        ):
+            ratio = _ratio(captured_s, replayed_s)
+            flag = ("REGRESSION" if ratio > 1.0 + self.threshold
+                    else "improved" if ratio < 1.0 - self.threshold else "")
+            sql = self.shape_examples[shape]
+            example = sql if len(sql) <= 60 else sql[:57] + "..."
+            lines.append(
+                f"  {shape}  {captured_s * 1e3:10.3f}ms -> "
+                f"{replayed_s * 1e3:10.3f}ms  {(ratio - 1.0) * 100:+8.1f}%  "
+                f"{flag:<10}  {example}"
+            )
         return "\n".join(lines)
+
+
+def _ratio(captured_s: float, replayed_s: float) -> float:
+    return replayed_s / captured_s if captured_s else float("inf")
 
 
 def replay_workload(
@@ -97,7 +111,6 @@ def replay_workload(
     profile: str | None = None,
     batch_size: int | None = None,
     threshold: float = REPLAY_THRESHOLD,
-    history_path: str | None = None,
 ) -> ReplayReport:
     """Re-execute the capture at ``path``; see the module docstring."""
     from ..database import Database
@@ -111,9 +124,9 @@ def replay_workload(
     if batch_size is not None:
         kwargs["batch_size"] = batch_size
     db = Database(**kwargs)
-    report = ReplayReport(path=path)
-    captured_by_shape: dict[str, list[float]] = {}
-    replayed_by_shape: dict[str, list[float]] = {}
+    report = ReplayReport(path=path, threshold=threshold)
+    # shape -> (captured seconds, replayed seconds), one sample per statement
+    timings: dict[str, tuple[list[float], list[float]]] = {}
     try:
         for record in records:
             sql = record.get("sql")
@@ -141,10 +154,9 @@ def replay_workload(
                 continue
             shape = record.get("shape")
             if shape and record.get("elapsed_ms") is not None:
-                captured_by_shape.setdefault(shape, []).append(
-                    record["elapsed_ms"] / 1e3
-                )
-                replayed_by_shape.setdefault(shape, []).append(elapsed_s)
+                captured, replayed = timings.setdefault(shape, ([], []))
+                captured.append(record["elapsed_ms"] / 1e3)
+                replayed.append(elapsed_s)
                 report.shape_examples.setdefault(shape, sql)
             if kind == "query" and outcome is not None and not isinstance(outcome, int):
                 report.queries += 1
@@ -158,46 +170,8 @@ def replay_workload(
                         )
     finally:
         db.close()
-    report.diff = _latency_diff(
-        path, captured_by_shape, replayed_by_shape, threshold, history_path
-    )
+    report.latencies = [
+        (shape, statistics.median(captured), statistics.median(replayed))
+        for shape, (captured, replayed) in sorted(timings.items())
+    ]
     return report
-
-
-def _latency_diff(
-    path: str,
-    captured: dict[str, list[float]],
-    replayed: dict[str, list[float]],
-    threshold: float,
-    history_path: str | None,
-) -> DiffReport | None:
-    """Per-shape medians as two bench-history entries -> one DiffReport."""
-    shapes = sorted(set(captured) & set(replayed))
-    if not shapes:
-        return None
-    old_entry = {
-        "run_at": f"captured:{path}",
-        "benchmarks": {
-            f"replay::{shape}": {
-                "median_s": statistics.median(captured[shape]),
-                "mean_s": statistics.fmean(captured[shape]),
-                "rounds": len(captured[shape]),
-            }
-            for shape in shapes
-        },
-    }
-    new_entry = {
-        "run_at": "replayed",
-        "benchmarks": {
-            f"replay::{shape}": {
-                "median_s": statistics.median(replayed[shape]),
-                "mean_s": statistics.fmean(replayed[shape]),
-                "rounds": len(replayed[shape]),
-            }
-            for shape in shapes
-        },
-    }
-    if history_path is not None:
-        # Let append_run stamp the real wall-clock time in the history file.
-        append_run({"benchmarks": new_entry["benchmarks"]}, history_path)
-    return diff_last_two([old_entry, new_entry], threshold)

@@ -197,31 +197,6 @@ class TestSubcommands:
         data = json.loads(capsys.readouterr().out)
         assert data["queries.executed"] == 3
 
-    def test_bench_diff_subcommand(self, capsys, tmp_path):
-        import json
-
-        from repro.__main__ import run_subcommand
-
-        path = tmp_path / "hist.json"
-        entries = [
-            {"run_at": r, "benchmarks": {"uaj": {"median_s": m}}}
-            for r, m in (("old", 0.010), ("new", 0.020))
-        ]
-        path.write_text(json.dumps(entries))
-        assert run_subcommand(["bench-diff", "--history", str(path)]) == 1
-        assert "REGRESSION" in capsys.readouterr().out
-        assert run_subcommand(
-            ["bench-diff", "--history", str(path), "--threshold", "150"]
-        ) == 0
-
-    def test_bench_diff_too_few_runs(self, capsys, tmp_path):
-        from repro.__main__ import run_subcommand
-
-        assert run_subcommand(
-            ["bench-diff", "--history", str(tmp_path / "none.json")]
-        ) == 0
-        assert "need two runs" in capsys.readouterr().out
-
     def test_unknown_profile_reported_not_raised(self, capsys):
         from repro.__main__ import run_subcommand
 
@@ -261,10 +236,13 @@ class TestSubcommands:
         db.execute("select sum(v) from t")
         db.close()
         path = str(tmp_path / "workload.jsonl")
-        assert run_subcommand(["replay", path, "--check-digests"]) == 0
+        assert run_subcommand(
+            ["replay", path, "--check-digests", "--threshold", "10000"]
+        ) == 0
         out = capsys.readouterr().out
         assert "1 digest(s) checked — ok" in out
-        assert "replay::" in out
+        assert "latency by shape, captured -> replayed (flagged beyond 10000%)" in out
+        assert "select sum(v) from t" in out
 
     def test_replay_subcommand_missing_file(self, tmp_path, capsys):
         from repro.__main__ import run_subcommand
