@@ -38,7 +38,7 @@ from .catalog.schema import (
     ViewSchema,
 )
 from .engine import Chunk, Executor, QueryResult
-from .engine.executor import DEFAULT_BATCH_SIZE, QueryStats, _collect_used_cids
+from .engine.executor import DEFAULT_BATCH_SIZE, _collect_used_cids
 from .engine.eval import evaluate, evaluate_predicate
 from .errors import (
     BindError,
@@ -60,11 +60,8 @@ from .observability import (
     attach_operator_spans,
 )
 from .observability.baselines import ShapeBaselines
-from .observability.feedback import (
-    MISESTIMATE_QERROR,
-    plan_feedback_rows,
-)
-from .observability.instrument import render_analyze
+from .observability.feedback import MISESTIMATE_QERROR, qerror
+from .observability.instrument import OperatorStats, render_analyze
 from .observability.querylog import QueryLog, QueryLogEntry
 from .observability.systables import install_sys_tables
 from .optimizer.pipeline import optimize_plan
@@ -252,8 +249,8 @@ class Database:
         # Pre-registered so exporters surface them at zero from the start.
         self.metrics.counter("optimizer.rule_failures")
         self.metrics.counter("exec.memory_budget_exceeded")
-        #: Ring buffers behind sys.query_log / sys.operator_stats /
-        #: sys.plan_feedback.
+        #: The statement ring behind sys.query_log and the operator ring
+        #: behind sys.operator_stats / sys.plan_feedback.
         self.query_log = QueryLog()
         #: Per-shape latency baselines behind sys.query_shapes; folded in
         #: lazily from the query log at scan time.
@@ -500,51 +497,22 @@ class Database:
         return result
 
     def _finish(self, stmt: _Statement, outcome, exc: BaseException | None) -> None:
-        """Statement-end telemetry.  The only writer of the query log,
-        :class:`QueryStats`, the ``queries.*``/``plan.*`` metrics, the slow
-        log, the operator/feedback rings and the capture record — for every
-        plan source and every outcome."""
+        """Statement-end telemetry.  Builds the statement's one
+        :class:`QueryLogEntry` — its ``sys.query_log`` row, ``result.stats``
+        and, past the threshold, its slow-log entry — and is the only
+        writer of the operator ring, the ``queries.*``/``plan.*`` metrics
+        and the capture record, for every plan source and every outcome."""
         elapsed = time.perf_counter() - stmt.start
         if stmt.seq is not None:
-            query_id = stmt.query_id
-            status = "ok"
             if exc is None:
-                collector = stmt.collector
-                if collector is not None:
-                    self.query_log.record_operators(query_id, collector)
-                    self._record_feedback(query_id, collector)
-                self._m_queries.inc()
-                self._m_latency.observe(elapsed)
-                self._m_ops_before.observe(stmt.operators_before)
-                self._m_ops_after.observe(stmt.operators_after)
-                outcome.stats = QueryStats(
-                    elapsed_s=elapsed,
-                    operators_before=stmt.operators_before,
-                    operators_after=stmt.operators_after,
-                    rewrite_fires=dict(stmt.rewrite_fires),
-                    query_id=query_id,
-                )
-                slowlog = self.slow_queries
-                if slowlog.threshold_s is not None and elapsed >= slowlog.threshold_s:
-                    slowlog.record(
-                        sql=stmt.sql,
-                        elapsed_s=elapsed,
-                        plan=explain_plan(stmt.plan),
-                        rewrite_fires=dict(stmt.rewrite_fires),
-                        span_root=stmt.span,
-                        query_id=query_id,
-                        plan_summary=self._plan_summary(stmt.plan),
-                    )
+                status = "ok"
             elif isinstance(exc, QueryTimeoutError):
                 status = "timeout"
                 self._m_timeouts.inc()
             else:
                 status = "error"
-            # Appended on completion (never mid-flight), so a query over
-            # sys.query_log does not observe itself; afterwards it appears
-            # exactly once, whatever its outcome.
-            self.query_log.record(QueryLogEntry(
-                query_id=query_id,
+            entry = QueryLogEntry(
+                query_id=stmt.query_id,
                 sql=stmt.sql,
                 status=status,
                 error=None if exc is None else str(exc),
@@ -557,9 +525,27 @@ class Database:
                 rows=None if outcome is None else len(outcome.rows),
                 operators_before=stmt.operators_before,
                 operators_after=stmt.operators_after,
-                rewrite_fires=sum(stmt.rewrite_fires.values()),
+                rewrite_fires=dict(stmt.rewrite_fires),
                 seq=stmt.seq,
-            ))
+            )
+            if exc is None:
+                if stmt.collector is not None:
+                    self._record_operators(stmt.query_id, stmt.collector)
+                self._m_queries.inc()
+                self._m_latency.observe(elapsed)
+                self._m_ops_before.observe(stmt.operators_before)
+                self._m_ops_after.observe(stmt.operators_after)
+                outcome.stats = entry
+                slowlog = self.slow_queries
+                if slowlog.threshold_s is not None and elapsed >= slowlog.threshold_s:
+                    entry.plan = explain_plan(stmt.plan)
+                    entry.plan_summary = self._plan_summary(stmt.plan)
+                    entry.span_root = stmt.span
+                    slowlog.record(entry)
+            # Appended on completion (never mid-flight), so a query over
+            # sys.query_log does not observe itself; afterwards it appears
+            # exactly once, whatever its outcome.
+            self.query_log.record(entry)
         recorder = self.capture
         # A nested INSERT ... SELECT is part of its INSERT's capture record.
         if recorder is not None and stmt.parsed is None:
@@ -568,26 +554,38 @@ class Database:
             else:
                 recorder.record_error(stmt.sql, stmt.started_at, elapsed, exc)
 
-    def _record_feedback(self, query_id: str, collector) -> None:
-        """Persist one query's est/actual join and feed the Q-error metrics.
+    def _record_operators(self, query_id: str, collector) -> None:
+        """One walk of the executed plan: stamp each operator's
+        :class:`OperatorStats` (a fresh ``never_executed`` one for an
+        operator that never opened) with its identity, estimate and
+        Q-error, feed the Q-error metrics, and append the group to the
+        operator ring.
 
         Early-terminated operators are excluded from the histogram and the
         misestimate counters — their actual row counts are lower bounds by
         design, not estimation failures.  Never-executed operators are
         likewise display-only.
         """
-        rows = plan_feedback_rows(query_id, collector)
-        if not rows:
+        root = collector.root
+        if root is None:
             return
-        self.query_log.record_feedback(rows)
-        for row in rows:
-            if row.qerror is None or row.early_terminated or row.never_executed:
-                continue
-            self._m_qerror.observe(row.qerror)
-            if row.qerror >= MISESTIMATE_QERROR:
-                self.metrics.counter(
-                    f"optimizer.misestimates.{row.kind}"
-                ).inc()
+        group = []
+        for index, op in enumerate(root.walk()):
+            stats = collector.stats_for(op)
+            if stats is None:
+                stats = OperatorStats(op.label(), never_executed=True)
+            stats.query_id = query_id
+            stats.op_index = index
+            stats.kind = kind = type(op).__name__.removesuffix("Exec")
+            stats.est_rows = est = op.est_rows
+            if est is not None:
+                stats.qerror = q = qerror(est, stats.rows_out)
+                if not (stats.early_terminated or stats.never_executed):
+                    self._m_qerror.observe(q)
+                    if q >= MISESTIMATE_QERROR:
+                        self.metrics.counter(f"optimizer.misestimates.{kind}").inc()
+            group.append(stats)
+        self.query_log.record_operators(group)
 
     def _plan_summary(self, plan: LogicalOp) -> str | None:
         """One-line physical summary for the slow-query log; compiled on

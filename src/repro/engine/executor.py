@@ -13,7 +13,8 @@ read only live columns, and the materialized :class:`QueryResult`.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from ..algebra import ops
 from ..algebra.expr import Expr, referenced_cids
@@ -23,45 +24,8 @@ from . import kernels
 from .chunk import Chunk
 from .physical import DEFAULT_BATCH_SIZE, ExecContext
 
-
-@dataclass
-class QueryStats:
-    """Summary statistics for one executed query.
-
-    Populated on :attr:`QueryResult.stats` by the :class:`Database` facade.
-
-    - ``elapsed_s`` — wall time of the whole query (parse/bind/optimize
-      plus execution);
-    - ``operators_before`` / ``operators_after`` — plan node counts before
-      and after optimization (the paper's plan-complexity measure: a UAJ
-      query drops from e.g. 4 operators to 2);
-    - ``rows_scanned`` — total rows produced by scan operators, when the
-      query ran instrumented (``EXPLAIN ANALYZE``); None otherwise;
-    - ``rewrite_fires`` — named rewrite case -> fire count for this query.
-
-    Example::
-
-        result = db.query("select o.o_orderkey from orders o "
-                          "left outer join customer c "
-                          "on o.o_custkey = c.c_custkey")
-        result.stats.elapsed_s          # e.g. 0.0021
-        result.stats.operators_before   # 4  (Project, Join, 2x Scan)
-        result.stats.operators_after    # 2  (Project, Scan)
-        result.stats.rewrite_fires      # {"AJ 2a": 1}
-    """
-
-    elapsed_s: float = 0.0
-    operators_before: int = 0
-    operators_after: int = 0
-    rows_scanned: int | None = None
-    rewrite_fires: dict[str, int] = field(default_factory=dict)
-    #: Engine-wide statement id (``q1``, ``q2``, ...) — the join key into
-    #: ``sys.query_log`` / ``sys.operator_stats`` and the capture records.
-    query_id: str | None = None
-
-    @property
-    def operators_removed(self) -> int:
-        return self.operators_before - self.operators_after
+if TYPE_CHECKING:
+    from ..observability.querylog import QueryLogEntry
 
 
 @dataclass
@@ -70,7 +34,10 @@ class QueryResult:
 
     column_names: list[str]
     rows: list[tuple]
-    stats: QueryStats | None = None
+    #: The statement's query-log record, set by the :class:`Database`
+    #: facade (``elapsed_s``, ``operators_before``/``operators_after``,
+    #: ``rewrite_fires``, ``query_id``, ...).
+    stats: QueryLogEntry | None = None
 
     def __len__(self) -> int:
         return len(self.rows)

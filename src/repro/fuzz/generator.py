@@ -47,7 +47,7 @@ TARGETS = (
 )
 
 #: target -> rewrite-counter name prefixes that must fire (``mixed`` has no
-#: guarantee).  Matched against ``QueryStats.rewrite_fires`` keys.
+#: guarantee).  Matched against ``result.stats.rewrite_fires`` keys.
 TARGET_FIRES: dict[str, tuple[str, ...]] = {
     "uaj": ("AJ ", "union-uaj"),
     "union_uaj": ("union-uaj",),

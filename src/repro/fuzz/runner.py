@@ -349,13 +349,13 @@ def _replay_qerror_probe(
                 if f.est_rows is None:
                     found.append(Discrepancy(
                         "qerror-probe",
-                        f"{query_id} op {f.op_index} ({f.operator}) "
+                        f"{query_id} op {f.op_index} ({f.label}) "
                         "has no estimate",
                     ))
                 elif f.qerror is None or f.qerror < 1.0:
                     found.append(Discrepancy(
                         "qerror-probe",
-                        f"{query_id} op {f.op_index} ({f.operator}) "
+                        f"{query_id} op {f.op_index} ({f.label}) "
                         f"qerror={f.qerror!r} violates the >= 1.0 clamp",
                     ))
     finally:

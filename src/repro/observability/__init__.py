@@ -20,10 +20,14 @@ Coordinated layers (see DESIGN.md, "Observability"):
 5. **Export** (:mod:`.export` / :mod:`.server`) — Prometheus text format
    and JSON renderers plus a stdlib HTTP scrape endpoint
    (``repro serve-metrics``).
-6. **Slow-query log** (:mod:`.slowlog`) — a threshold-gated ring buffer
-   capturing SQL, plan, rewrite tally, and span tree per offender.
+6. **Query log** (:mod:`.querylog`) — one :class:`QueryLogEntry` per
+   statement (``sys.query_log``, ``result.stats``) and one ring of
+   :class:`OperatorStats` records (``sys.operator_stats``,
+   ``sys.plan_feedback``).  The **slow-query log** (:mod:`.slowlog`) is
+   a threshold-gated ring of references to those entries, which then
+   also keep the plan and span tree per offender.
 7. **Plan feedback** (:mod:`.feedback` / :mod:`.baselines` /
-   :mod:`.doctor`) — per-operator est/actual/Q-error rows, per-operator
+   :mod:`.doctor`) — per-operator est/actual/Q-error, per-operator
    peak-memory accounting, per-shape rolling latency baselines with
    regression flags, and the ``repro doctor`` report over all three.
 
@@ -51,14 +55,9 @@ from .export import (  # noqa: F401
     render_prometheus,
     render_spans_json,
 )
-from .slowlog import SlowQuery, SlowQueryLog  # noqa: F401
+from .slowlog import SlowQueryLog  # noqa: F401
 from .server import MetricsServer  # noqa: F401
-from .querylog import OperatorStatRow, QueryLog, QueryLogEntry  # noqa: F401
-from .feedback import (  # noqa: F401
-    MISESTIMATE_QERROR,
-    PlanFeedbackRow,
-    plan_feedback_rows,
-    qerror,
-)
+from .querylog import QueryLog, QueryLogEntry  # noqa: F401
+from .feedback import MISESTIMATE_QERROR, qerror  # noqa: F401
 from .baselines import ShapeBaselines, ShapeStats  # noqa: F401
 from .doctor import doctor_report  # noqa: F401

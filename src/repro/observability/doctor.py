@@ -2,8 +2,8 @@
 
 Pulls the three feedback signals this layer maintains — per-operator
 Q-error, per-operator peak memory, and per-shape latency baselines — and
-prints the worst offenders of each.  Everything comes from the same rings
-that back ``sys.plan_feedback`` / ``sys.query_shapes``, so the report is
+prints the worst offenders of each.  Everything comes from the same
+records that back ``sys.plan_feedback`` / ``sys.query_shapes``, so the report is
 exactly what those tables would show, pre-digested for a terminal.
 """
 
@@ -41,7 +41,7 @@ def doctor_report(db, top: int = 5) -> str:
     for f in misestimated:
         lines.append(
             f"qerror={f.qerror:8.2f}  est={f.est_rows:10.0f}  "
-            f"actual={f.actual_rows:8d}  {f.operator}"
+            f"actual={f.rows_out:8d}  {f.label}"
         )
         lines.append(f"    {f.query_id}: {sql_for(f.query_id)}")
 
@@ -70,7 +70,7 @@ def doctor_report(db, top: int = 5) -> str:
         lines.append(
             f"kernel={o.kernel_s * 1e3:8.3f}ms  calls={o.kernel_calls:5d}  "
             f"selected={o.rows_selected:8d}  dict_cmp={o.dict_compares:8d}  "
-            f"{o.operator}"
+            f"{o.label}"
         )
         lines.append(f"    {o.query_id}: {sql_for(o.query_id)}")
 

@@ -2,10 +2,11 @@
 
 The physical planner stamps every operator with its estimated output rows
 (:attr:`repro.engine.physical.PhysicalOp.est_rows`); the execution
-collector records the actual rows produced.  This module joins the two
-into per-operator :class:`PlanFeedbackRow` records — the engine's measure
-of its own estimation quality, in the Q-error metric standard in the
-cardinality-estimation literature:
+collector records the actual rows produced.  At statement end
+``Database._finish`` joins the two on each operator's
+:class:`~repro.observability.instrument.OperatorStats` — the engine's
+measure of its own estimation quality, in the Q-error metric standard in
+the cardinality-estimation literature:
 
     qerror = max(est, actual) / min(est, actual)
 
@@ -15,13 +16,12 @@ prediction, not an infinite error).  A Q-error of 1.0 is a perfect
 estimate; >= :data:`MISESTIMATE_QERROR` counts as a misestimate and bumps
 the per-operator-kind ``optimizer.misestimates.<kind>`` counter.
 
-Rows land in the :class:`repro.observability.querylog.QueryLog` feedback
-ring and are queryable as ``sys.plan_feedback``.
+The stamped records land in the
+:class:`repro.observability.querylog.QueryLog` operator ring and are
+queryable as ``sys.plan_feedback``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 #: Q-error at or above which an operator counts as misestimated.  4x is the
 #: conventional "the optimizer would likely have picked a different plan"
@@ -38,74 +38,3 @@ def qerror(est: float, actual: int | float) -> float:
     est = max(float(est), 1.0)
     actual = max(float(actual), 1.0)
     return est / actual if est >= actual else actual / est
-
-
-@dataclass(frozen=True)
-class PlanFeedbackRow:
-    """One operator's est-vs-actual record for one executed query."""
-
-    query_id: str
-    #: Pre-order position in the physical plan (root = 0).
-    op_index: int
-    #: Full display label, e.g. ``HashJoin[build=right]``.
-    operator: str
-    #: Operator class, e.g. ``HashJoin`` — the misestimate-counter key.
-    kind: str
-    est_rows: float | None
-    actual_rows: int
-    #: None when the plan was not stamped with estimates.
-    qerror: float | None
-    peak_bytes: int
-    #: A downstream consumer closed this operator before it finished — its
-    #: actual row count is a lower bound, so its qerror is not comparable.
-    early_terminated: bool
-    #: The operator never opened at all (e.g. the skipped side of an
-    #: answered EXISTS); actual_rows is 0 by construction.
-    never_executed: bool
-
-
-def plan_feedback_rows(query_id: str, collector) -> list[PlanFeedbackRow]:
-    """Join estimates and actuals over a collector's executed plan.
-
-    Walks ``collector.root`` (pre-order), producing exactly one row per
-    physical operator — including operators that never executed.  Returns
-    ``[]`` when the collector has no recorded root plan.
-    """
-    root = collector.root
-    if root is None:
-        return []
-    rows: list[PlanFeedbackRow] = []
-    for index, op in enumerate(root.walk()):
-        est = op.est_rows
-        stats = collector.stats_for(op)
-        if stats is None:
-            rows.append(
-                PlanFeedbackRow(
-                    query_id=query_id,
-                    op_index=index,
-                    operator=op.label(),
-                    kind=type(op).__name__.removesuffix("Exec"),
-                    est_rows=est,
-                    actual_rows=0,
-                    qerror=None if est is None else qerror(est, 0),
-                    peak_bytes=0,
-                    early_terminated=False,
-                    never_executed=True,
-                )
-            )
-            continue
-        rows.append(
-            PlanFeedbackRow(
-                query_id=query_id,
-                op_index=index,
-                operator=stats.label,
-                kind=type(op).__name__.removesuffix("Exec"),
-                est_rows=est,
-                actual_rows=stats.rows_out,
-                qerror=None if est is None else qerror(est, stats.rows_out),
-                peak_bytes=stats.peak_bytes,
-                early_terminated=stats.early_terminated,
-                never_executed=False,
-            )
-        )
-    return rows

@@ -12,6 +12,12 @@ stream is exhausted (a satisfied LIMIT, an answered EXISTS, an early-out
 join probe) are flagged ``early-terminated``; operators that never open at
 all (e.g. the probe side of an EXISTS that was answered by the other side)
 are annotated ``(never executed)``.
+
+:class:`OperatorStats` is also the engine's one per-operator telemetry
+record: at statement end ``Database._finish`` stamps each executed plan's
+records with their query id, plan position, estimate and Q-error and
+appends them to the query log's operator ring, the storage behind
+``sys.operator_stats`` and ``sys.plan_feedback``.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from ..algebra import ops
 class OperatorStats:
     """Runtime statistics for one plan operator."""
 
+    #: Full display label, e.g. ``HashJoin[build=right]``.
     label: str
     rows_out: int = 0
     chunks: int = 0       # batches produced
@@ -40,6 +47,19 @@ class OperatorStats:
     kernel_s: float = 0.0
     #: Bounded-heap TopN rows displaced after the heap filled.
     heap_evictions: int = 0
+    #: Stamped at statement end: the statement, the pre-order position in
+    #: its physical plan (root = 0), the operator class (``HashJoin`` —
+    #: the misestimate-counter key), the optimizer's estimate and the
+    #: Q-error against ``rows_out`` (None when the plan was not stamped
+    #: with estimates).
+    query_id: str | None = None
+    op_index: int = 0
+    kind: str = ""
+    est_rows: float | None = None
+    qerror: float | None = None
+    #: The operator never opened at all (e.g. the skipped side of an
+    #: answered EXISTS); ``rows_out`` is 0 by construction.
+    never_executed: bool = False
 
 
 @dataclass

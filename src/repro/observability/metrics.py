@@ -171,7 +171,7 @@ class MetricsRegistry:
     def gauge(self, name: str) -> Gauge:
         return self._get_or_create(name, Gauge)
 
-    def histogram(self, name: str, window: int = 4096) -> Histogram:
+    def histogram(self, name: str) -> Histogram:
         return self._get_or_create(name, Histogram)
 
     def names(self) -> list[str]:

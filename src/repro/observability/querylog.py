@@ -1,26 +1,32 @@
-"""The engine-wide query log: the ring buffer behind ``sys.query_log``.
+"""The engine-wide query log: the one per-statement and per-operator record.
 
 Every query statement — cold plan, plan-cache hit, EXPLAIN ANALYZE, or
-one that failed before it could be parsed — appends one
+one that failed before it could be parsed — produces one
 :class:`QueryLogEntry` on completion (success, error, or timeout) from
 the statement runner's single telemetry step, ``Database._finish``, with
 the per-phase timing breakdown (parse/bind/optimize/execute), the row
-count, and the rewrite-fire total.  A second ring keeps per-operator
-execution stats (:class:`OperatorStatRow`) for every completed query —
-plan feedback made span tracing unnecessary for operator actuals — keyed
-by the same ``query_id`` so ``sys.query_log`` and ``sys.operator_stats``
-join in SQL.  A third ring holds per-operator est/actual/Q-error records
-(:class:`repro.observability.feedback.PlanFeedbackRow`) behind
-``sys.plan_feedback``.
+count, and the rewrite-fire tally.  That one object is the
+``sys.query_log`` row, a successful query's ``result.stats``, and — past
+the slow-log threshold — the slow-log entry: the slow log holds
+references to log entries, and only those entries carry the slow-only
+detail (rendered plan, plan summary, span tree).
+
+Per-operator telemetry is the collector's own
+:class:`~repro.observability.instrument.OperatorStats`, stamped at
+statement end with its query id, pre-order index, estimate and Q-error.
+Each query's group lands in one operator ring keyed by the same
+``query_id``: ``sys.plan_feedback`` is every row of it,
+``sys.operator_stats`` the rows of operators that executed — so the two
+tables always retain the same queries.
 
 Entries are appended *after* the query finishes, so a query over
 ``sys.query_log`` never observes itself mid-flight; once it completes it
 appears exactly once (the invariant the fuzz corpus pins down).
-Per-query operator and feedback groups are appended atomically (one
-``extend`` under the lock), so a concurrent scan sees either all of a
-query's rows or none of them — never a torn group.
+Per-query operator groups are appended atomically (one ``extend`` under
+the lock), so a concurrent scan sees either all of a query's rows or
+none of them — never a torn group.
 
-All buffers are bounded deques — a long-lived process cannot leak memory
+Both buffers are bounded deques — a long-lived process cannot leak memory
 into its own diagnostics — and every access goes through one lock, so
 threaded writers never corrupt a concurrent snapshot.
 """
@@ -33,17 +39,30 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from ..sql.normalize import shape_hash
-from .feedback import PlanFeedbackRow
+from .instrument import OperatorStats
 
 DEFAULT_QUERY_CAPACITY = 256
-DEFAULT_OPERATOR_CAPACITY = 1024
-DEFAULT_FEEDBACK_CAPACITY = 2048
+DEFAULT_OPERATOR_CAPACITY = 2048
 
 
 @dataclass
 class QueryLogEntry:
-    """One completed statement."""
+    """One completed statement.
 
+    Example::
+
+        result = db.query("select o.o_orderkey from orders o "
+                          "left outer join customer c "
+                          "on o.o_custkey = c.c_custkey")
+        result.stats is db.query_log.last()   # True
+        result.stats.elapsed_s          # e.g. 0.0021 (lex through execution)
+        result.stats.operators_before   # 4  (Project, Join, 2x Scan)
+        result.stats.operators_after    # 2  (Project, Scan)
+        result.stats.rewrite_fires      # {"AJ 2a": 1}
+    """
+
+    #: Engine-wide statement id (``q1``, ``q2``, ...) — the join key into
+    #: ``sys.operator_stats``, spans and the capture records.
     query_id: str
     sql: str | None
     status: str                     # "ok" | "error" | "timeout"
@@ -57,11 +76,18 @@ class QueryLogEntry:
     rows: int | None
     operators_before: int
     operators_after: int
-    rewrite_fires: int
+    #: Named rewrite case -> fire count for this statement.
+    rewrite_fires: dict[str, int]
     #: Monotonic statement sequence number — lets incremental consumers
     #: (the shape-baseline tracker) resume where they left off without
     #: rescanning the whole ring.
     seq: int = 0
+    #: Slow-only detail, set when the statement crosses the slow-log
+    #: threshold: the optimized plan rendered, a one-line physical
+    #: operator chain, and the span tree when tracing was on.
+    plan: str | None = None
+    plan_summary: str | None = None
+    span_root: object = None
     _shape: str | None = None
 
     @property
@@ -72,40 +98,50 @@ class QueryLogEntry:
             self._shape = shape_hash(self.sql)
         return self._shape
 
+    @property
+    def operators_removed(self) -> int:
+        return self.operators_before - self.operators_after
 
-@dataclass
-class OperatorStatRow:
-    """Per-operator actuals for one completed query."""
+    @property
+    def recorded_at(self) -> float:
+        """Unix timestamp of completion."""
+        return self.started_at + self.elapsed_s
 
-    query_id: str
-    operator: str
-    rows_out: int
-    batches: int
-    elapsed_s: float
-    is_scan: bool
-    early_terminated: bool
-    #: Vectorized-kernel accounting (all zero when the scalar path ran).
-    kernel_calls: int = 0
-    kernel_s: float = 0.0
-    rows_selected: int = 0
-    dict_compares: int = 0
-    #: Bounded-heap TopN displacements (non-zero only for TopN operators).
-    heap_evictions: int = 0
+    def summary(self) -> str:
+        sql = self.sql or "(unknown sql)"
+        if len(sql) > 80:
+            sql = sql[:77] + "..."
+        line = f"{self.elapsed_s * 1e3:8.3f}ms  [{self.query_id}] {sql}"
+        if self.plan_summary:
+            line += f"\n           plan: {self.plan_summary}"
+        return line
+
+    def to_dict(self) -> dict:
+        out = {
+            "query_id": self.query_id,
+            "sql": self.sql,
+            "elapsed_ms": self.elapsed_s * 1e3,
+            "recorded_at": self.recorded_at,
+            "plan": self.plan,
+            "plan_summary": self.plan_summary,
+            "rewrite_fires": dict(self.rewrite_fires),
+        }
+        if self.span_root is not None:
+            out["spans"] = self.span_root.to_dict()
+        return out
 
 
 class QueryLog:
-    """Bounded, lock-guarded ring buffers of query/operator/feedback rows."""
+    """Bounded, lock-guarded rings of statement and operator records."""
 
     def __init__(
         self,
         capacity: int = DEFAULT_QUERY_CAPACITY,
         operator_capacity: int = DEFAULT_OPERATOR_CAPACITY,
-        feedback_capacity: int = DEFAULT_FEEDBACK_CAPACITY,
     ):
         self._lock = threading.Lock()
         self._entries: deque[QueryLogEntry] = deque(maxlen=capacity)
-        self._operators: deque[OperatorStatRow] = deque(maxlen=operator_capacity)
-        self._feedback: deque[PlanFeedbackRow] = deque(maxlen=feedback_capacity)
+        self._operators: deque[OperatorStats] = deque(maxlen=operator_capacity)
 
     @property
     def capacity(self) -> int:
@@ -113,7 +149,6 @@ class QueryLog:
 
     def configure(
         self, capacity: int | None = None, operator_capacity: int | None = None,
-        feedback_capacity: int | None = None,
     ) -> None:
         """Resize the retention rings (existing entries are kept, oldest
         first to go)."""
@@ -127,67 +162,28 @@ class QueryLog:
                 self._operators = deque(
                     self._operators, maxlen=operator_capacity
                 )
-            if (
-                feedback_capacity is not None
-                and feedback_capacity != self._feedback.maxlen
-            ):
-                self._feedback = deque(self._feedback, maxlen=feedback_capacity)
 
     def record(self, entry: QueryLogEntry) -> None:
         with self._lock:
             self._entries.append(entry)
 
-    def record_operators(self, query_id: str, collector) -> None:
-        """Flatten an ExecutionCollector's per-operator stats into the ring.
-
-        ``collector.root`` is the executed physical tree; operators are
-        appended in depth-first plan order, atomically per query.
-        """
-        root = getattr(collector, "root", None)
-        if root is None:
-            return
-        rows = []
-        for op in root.walk():
-            stats = collector.stats_for(op)
-            if stats is None:
-                continue
-            rows.append(
-                OperatorStatRow(
-                    query_id=query_id,
-                    operator=stats.label,
-                    rows_out=stats.rows_out,
-                    batches=stats.chunks,
-                    elapsed_s=stats.elapsed_s,
-                    is_scan=stats.is_scan,
-                    early_terminated=stats.early_terminated,
-                    kernel_calls=stats.kernel_calls,
-                    kernel_s=stats.kernel_s,
-                    rows_selected=stats.rows_selected,
-                    dict_compares=stats.dict_compares,
-                    heap_evictions=stats.heap_evictions,
-                )
-            )
-        if rows:
-            with self._lock:
-                self._operators.extend(rows)
-
-    def record_feedback(self, rows: list[PlanFeedbackRow]) -> None:
-        """Append one query's plan-feedback rows (atomically)."""
-        if rows:
-            with self._lock:
-                self._feedback.extend(rows)
+    def record_operators(self, group: list[OperatorStats]) -> None:
+        """Append one query's operator records (atomically)."""
+        with self._lock:
+            self._operators.extend(group)
 
     def entries(self) -> list[QueryLogEntry]:
         with self._lock:
             return list(self._entries)
 
-    def operator_rows(self) -> list[OperatorStatRow]:
+    def operator_rows(self) -> list[OperatorStats]:
+        """The ``sys.operator_stats`` view: operators that executed."""
+        return [o for o in self.feedback_rows() if not o.never_executed]
+
+    def feedback_rows(self) -> list[OperatorStats]:
+        """The ``sys.plan_feedback`` view: every operator of every plan."""
         with self._lock:
             return list(self._operators)
-
-    def feedback_rows(self) -> list[PlanFeedbackRow]:
-        with self._lock:
-            return list(self._feedback)
 
     def last(self) -> QueryLogEntry | None:
         with self._lock:
@@ -197,7 +193,6 @@ class QueryLog:
         with self._lock:
             self._entries.clear()
             self._operators.clear()
-            self._feedback.clear()
 
     def __len__(self) -> int:
         with self._lock:

@@ -2,11 +2,14 @@
 
 ``Database.slow_queries`` is a :class:`SlowQueryLog`: set
 ``threshold_s`` to start capturing every query whose wall time meets it.
-Each entry keeps the SQL, the optimized plan, the rewrite tally, and —
-when span tracing was on — the full span tree, so a slow query can be
-diagnosed after the fact without re-running it.  The buffer is bounded
-(oldest entries evicted), so a long-lived process cannot leak memory into
-its own diagnostics.
+Its entries are the statements' own
+:class:`~repro.observability.querylog.QueryLogEntry` records — the same
+objects as ``result.stats`` and the ``sys.query_log`` rows — which, once
+over the threshold, also keep the optimized plan and — when span tracing
+was on — the full span tree, so a slow query can be diagnosed after the
+fact without re-running it.  The buffer is bounded (oldest entries
+evicted), so a long-lived process cannot leak memory into its own
+diagnostics.
 
 Example::
 
@@ -19,53 +22,18 @@ Example::
 
 from __future__ import annotations
 
-import time
 from collections import deque
-from dataclasses import dataclass, field
+
+from .querylog import QueryLogEntry
 
 DEFAULT_CAPACITY = 32
 
-
-@dataclass
-class SlowQuery:
-    """One captured offender."""
-
-    sql: str | None
-    elapsed_s: float
-    recorded_at: float              # unix timestamp
-    plan: str | None = None         # optimized plan, rendered
-    rewrite_fires: dict = field(default_factory=dict)
-    span_root: object = None        # Span tree when tracing was enabled
-    query_id: str | None = None     # joins against sys.query_log / spans
-    plan_summary: str | None = None  # one-line physical operator chain
-
-    def summary(self) -> str:
-        sql = self.sql or "(unknown sql)"
-        if len(sql) > 80:
-            sql = sql[:77] + "..."
-        prefix = f"[{self.query_id}] " if self.query_id else ""
-        line = f"{self.elapsed_s * 1e3:8.3f}ms  {prefix}{sql}"
-        if self.plan_summary:
-            line += f"\n           plan: {self.plan_summary}"
-        return line
-
-    def to_dict(self) -> dict:
-        out = {
-            "query_id": self.query_id,
-            "sql": self.sql,
-            "elapsed_ms": self.elapsed_s * 1e3,
-            "recorded_at": self.recorded_at,
-            "plan": self.plan,
-            "plan_summary": self.plan_summary,
-            "rewrite_fires": dict(self.rewrite_fires),
-        }
-        if self.span_root is not None:
-            out["spans"] = self.span_root.to_dict()
-        return out
+#: ``configure`` default: leave the threshold as it is.
+_UNCHANGED = object()
 
 
 class SlowQueryLog:
-    """Threshold-gated ring buffer of :class:`SlowQuery` entries.
+    """Threshold-gated ring buffer of :class:`QueryLogEntry` references.
 
     Disabled until :attr:`threshold_s` is set (None means off) — the only
     hot-path cost while disabled is one attribute load and comparison.
@@ -74,29 +42,25 @@ class SlowQueryLog:
     def __init__(self, threshold_s: float | None = None,
                  capacity: int = DEFAULT_CAPACITY):
         self.threshold_s = threshold_s
-        self._entries: deque[SlowQuery] = deque(maxlen=capacity)
+        self._entries: deque[QueryLogEntry] = deque(maxlen=capacity)
 
     @property
     def capacity(self) -> int:
         return self._entries.maxlen or 0
 
-    def configure(self, threshold_s: float | None = None,
+    def configure(self, threshold_s=_UNCHANGED,
                   capacity: int | None = None) -> None:
+        """Change only what is passed; ``threshold_s=None`` turns the log
+        off."""
         if capacity is not None and capacity != self._entries.maxlen:
             self._entries = deque(self._entries, maxlen=capacity)
-        self.threshold_s = threshold_s
+        if threshold_s is not _UNCHANGED:
+            self.threshold_s = threshold_s
 
-    def record(self, sql: str | None, elapsed_s: float,
-               plan: str | None = None, rewrite_fires: dict | None = None,
-               span_root=None, query_id: str | None = None,
-               plan_summary: str | None = None) -> SlowQuery:
-        entry = SlowQuery(sql, elapsed_s, time.time(), plan,
-                          rewrite_fires or {}, span_root, query_id,
-                          plan_summary)
+    def record(self, entry: QueryLogEntry) -> None:
         self._entries.append(entry)
-        return entry
 
-    def entries(self) -> list[SlowQuery]:
+    def entries(self) -> list[QueryLogEntry]:
         return list(self._entries)
 
     def clear(self) -> None:

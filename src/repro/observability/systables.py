@@ -81,15 +81,17 @@ def install_sys_tables(db) -> None:
                 None if e.bind_s is None else e.bind_s * 1e3,
                 None if e.optimize_s is None else e.optimize_s * 1e3,
                 None if e.execute_s is None else e.execute_s * 1e3,
-                e.rows, e.operators_before, e.operators_after, e.rewrite_fires,
+                e.rows, e.operators_before, e.operators_after,
+                sum(e.rewrite_fires.values()),
             )
             for e in db.query_log.entries()
         ],
     ))
 
-    # Per-operator actuals for every completed query — populated
-    # unconditionally by the plan-feedback collector (span tracing is no
-    # longer a prerequisite; disable with Database(plan_feedback=False)).
+    # sys.operator_stats and sys.plan_feedback are two views over one
+    # operator ring, populated unconditionally by the plan-feedback
+    # collector (disable with Database(plan_feedback=False)): the executed
+    # operators, and every operator.
     register(SysTable(
         _schema(
             "sys.operator_stats",
@@ -108,7 +110,7 @@ def install_sys_tables(db) -> None:
         ),
         lambda: [
             (
-                o.query_id, o.operator, o.rows_out, o.batches,
+                o.query_id, o.label, o.rows_out, o.chunks,
                 o.elapsed_s * 1e3, o.is_scan, o.early_terminated,
                 o.kernel_calls, o.kernel_s * 1e3, o.rows_selected,
                 o.dict_compares, o.heap_evictions,
@@ -133,8 +135,8 @@ def install_sys_tables(db) -> None:
         ),
         lambda: [
             (
-                f.query_id, f.op_index, f.operator, f.kind, f.est_rows,
-                f.actual_rows, f.qerror, f.peak_bytes, f.early_terminated,
+                f.query_id, f.op_index, f.label, f.kind, f.est_rows,
+                f.rows_out, f.qerror, f.peak_bytes, f.early_terminated,
                 f.never_executed,
             )
             for f in db.query_log.feedback_rows()

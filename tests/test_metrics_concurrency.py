@@ -100,14 +100,15 @@ def test_new_metrics_registered_mid_snapshot_loop():
         thread.join()
 
 
-# -- concurrent QueryLog / plan-feedback appends vs. sys.* scans ------------
+# -- concurrent QueryLog operator-ring appends vs. sys.* scans --------------
 
 
 def test_query_log_and_plan_feedback_never_tear_under_threads():
-    """Threaded queries appending to the query-log rings while another
-    thread scans ``sys.query_log`` / ``sys.plan_feedback`` (both via SQL
-    and via the direct snapshot methods) must never raise and never show
-    a torn per-query feedback group: each completed query's rows form a
+    """Threaded queries appending to the query log and its one operator
+    ring while another thread scans ``sys.query_log`` /
+    ``sys.plan_feedback`` / ``sys.operator_stats`` (both via SQL and via
+    the direct snapshot methods) must never raise and never show a torn
+    per-query operator group: each completed query's rows form a
     contiguous 0..n-1 ``op_index`` run, because the whole group is
     appended under one lock hold."""
     db = Database()
@@ -115,8 +116,7 @@ def test_query_log_and_plan_feedback_never_tear_under_threads():
     db.execute("insert into t values (1, 10), (2, 20), (3, 30), (4, 40)")
     # Big rings and bounded writers: eviction mid-test would legitimately
     # drop the oldest group's prefix, which is not a tear.
-    db.query_log.configure(capacity=100_000, operator_capacity=500_000,
-                           feedback_capacity=500_000)
+    db.query_log.configure(capacity=100_000, operator_capacity=500_000)
     stop = threading.Event()
     failures: list[str] = []
 
@@ -156,6 +156,7 @@ def test_query_log_and_plan_feedback_never_tear_under_threads():
                 sql_groups.setdefault(query_id, []).append(op_index)
             for query_id, indexes in sql_groups.items():
                 assert sorted(indexes) == list(range(len(indexes)))
+            db.query("select count(*) from sys.operator_stats")
             db.query("select count(*) from sys.query_log")
     finally:
         stop.set()

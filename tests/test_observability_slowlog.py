@@ -3,8 +3,17 @@
 import pytest
 
 from repro import Database
-from repro.observability import SlowQueryLog
+from repro.observability import QueryLogEntry, SlowQueryLog
 from repro.observability.slowlog import DEFAULT_CAPACITY
+
+
+def _entry(sql: str, elapsed_s: float) -> QueryLogEntry:
+    return QueryLogEntry(
+        query_id="q1", sql=sql, status="ok", error=None, started_at=0.0,
+        elapsed_s=elapsed_s, parse_s=None, bind_s=None, optimize_s=None,
+        execute_s=None, rows=0, operators_before=1, operators_after=1,
+        rewrite_fires={},
+    )
 
 
 @pytest.fixture
@@ -39,12 +48,20 @@ class TestThresholdGating:
         db.query("select b from t")
         assert len(db.slow_queries) == 1
 
+    def test_resizing_keeps_the_threshold(self, db):
+        db.slow_queries.configure(threshold_s=0.0)
+        db.slow_queries.configure(capacity=64)
+        assert db.slow_queries.threshold_s == 0.0
+        assert db.slow_queries.capacity == 64
+        db.query("select a from t")
+        assert len(db.slow_queries) == 1
+
 
 class TestRingBuffer:
     def test_eviction_at_capacity(self):
         log = SlowQueryLog(threshold_s=0.0, capacity=3)
         for i in range(5):
-            log.record(sql=f"q{i}", elapsed_s=float(i))
+            log.record(_entry(f"q{i}", float(i)))
         assert len(log) == 3
         assert [e.sql for e in log] == ["q2", "q3", "q4"]
 
@@ -55,13 +72,13 @@ class TestRingBuffer:
     def test_capacity_shrink_keeps_newest(self):
         log = SlowQueryLog(threshold_s=0.0, capacity=4)
         for i in range(4):
-            log.record(sql=f"q{i}", elapsed_s=1.0)
+            log.record(_entry(f"q{i}", 1.0))
         log.configure(threshold_s=0.0, capacity=2)
         assert [e.sql for e in log] == ["q2", "q3"]
 
     def test_clear(self):
         log = SlowQueryLog(threshold_s=0.0)
-        log.record(sql="q", elapsed_s=1.0)
+        log.record(_entry("q", 1.0))
         log.clear()
         assert len(log) == 0
         assert log.render() == "(slow-query log empty)"
@@ -96,7 +113,14 @@ class TestCapturedDetail:
         assert "threshold 0ms" in text and "select a from t" in text
 
     def test_summary_truncates_long_sql(self):
-        log = SlowQueryLog(threshold_s=0.0)
-        entry = log.record(sql="select " + "x" * 200, elapsed_s=0.5)
+        entry = _entry("select " + "x" * 200, 0.5)
         assert len(entry.summary()) < 120
         assert entry.summary().endswith("...")
+
+    def test_fast_statements_keep_no_slow_detail(self, db):
+        db.slow_queries.configure(threshold_s=3600.0)
+        db.tracing = True
+        result = db.query("select a from t")
+        assert result.stats.plan is None
+        assert result.stats.plan_summary is None
+        assert result.stats.span_root is None

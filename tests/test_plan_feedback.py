@@ -3,6 +3,7 @@ metrics, operator memory accounting, and per-shape latency baselines."""
 
 from __future__ import annotations
 
+import inspect
 import warnings
 
 import pytest
@@ -11,6 +12,7 @@ from repro.database import Database
 from repro.errors import MemoryBudgetWarning
 from repro.observability import (
     MISESTIMATE_QERROR,
+    QueryLog,
     ShapeBaselines,
     qerror,
 )
@@ -79,7 +81,7 @@ def test_scan_feedback_has_perfect_qerror(db):
     ]
     assert len(scan) == 1
     assert scan[0].est_rows == 12.0
-    assert scan[0].actual_rows == 12
+    assert scan[0].rows_out == 12
     assert scan[0].qerror == 1.0
 
 
@@ -92,8 +94,8 @@ def test_never_executed_probe_side_is_flagged(db):
     rows = [f for f in db.query_log.feedback_rows() if f.query_id == query_id]
     skipped = [f for f in rows if f.never_executed]
     assert len(skipped) == 1
-    assert "BatchScan(t)" in skipped[0].operator
-    assert skipped[0].actual_rows == 0
+    assert "BatchScan(t)" in skipped[0].label
+    assert skipped[0].rows_out == 0
     assert skipped[0].peak_bytes == 0
 
 
@@ -119,6 +121,36 @@ def test_blocking_operators_report_peak_bytes(db):
     assert sort[0].peak_bytes > 0
     snapshot = db.metrics.snapshot()
     assert snapshot["exec.operator_peak_bytes"]["count"] >= 1
+
+
+def test_operator_stats_and_plan_feedback_retain_the_same_queries(db):
+    # One ring behind both views: overflowing it (2048 rows) with
+    # three-operator plans evicts a query's rows from both tables at
+    # once, never from one alone.
+    for index in range(800):
+        db.query(f"select v from t where v > {index % 120}")
+    executed: dict[str, list] = {}
+    for o in db.query_log.operator_rows():
+        executed.setdefault(o.query_id, []).append((o.op_index, o.label, o.rows_out))
+    feedback: dict[str, list] = {}
+    for f in db.query_log.feedback_rows():
+        if not f.never_executed:
+            feedback.setdefault(f.query_id, []).append((f.op_index, f.label, f.rows_out))
+    assert len(db.query_log.feedback_rows()) == 2048
+    assert len(executed) > 600
+    assert executed == feedback
+
+
+def test_feedback_ring_is_not_separately_sized():
+    # The plan-feedback ring and its own capacity knob are gone: the log
+    # is sized by exactly two values, so any other ring size passed to
+    # QueryLog() or configure() is a TypeError.
+    assert list(inspect.signature(QueryLog).parameters) == [
+        "capacity", "operator_capacity"]
+    assert list(inspect.signature(QueryLog.configure).parameters) == [
+        "self", "capacity", "operator_capacity"]
+    with pytest.raises(TypeError):
+        QueryLog().configure(plan_feedback=16)
 
 
 # -- qerror histogram and misestimate counters ------------------------------

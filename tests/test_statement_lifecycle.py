@@ -3,10 +3,11 @@ statement-end record.
 
 One statement runner serves the cold plan, the plan-cache hit, EXPLAIN
 ANALYZE and the early failures; this file pins what each of them must
-write — exactly one ``sys.query_log`` row under the returned id, phase
-timings that fit inside ``elapsed_s``, the ``queries.*`` counters, one
-slow-log entry, operator rows, and (under tracing) the same span tree
-shape and a ``last_trace`` that belongs to this statement.
+write — exactly one ``sys.query_log`` row under the returned id, which is
+also ``result.stats`` and the slow-log entry, phase timings that fit
+inside ``elapsed_s``, the ``queries.*`` counters, operator rows, and
+(under tracing) the same span tree shape and a ``last_trace`` that
+belongs to this statement.
 """
 
 from __future__ import annotations
@@ -86,8 +87,7 @@ def test_lifecycle_parity(case, tracing, plan_feedback):
     assert entry.status == status and entry.sql == sql
     assert (entry.error is None) == (status == "ok")
     if result is not None:
-        assert result.stats.query_id == entry.query_id
-        assert result.stats.elapsed_s == entry.elapsed_s
+        assert result.stats is entry
     # the statement clock starts before lexing: phases fit inside elapsed
     phases = (entry.parse_s, entry.bind_s, entry.optimize_s, entry.execute_s)
     assert entry.parse_s is not None
@@ -112,14 +112,19 @@ def test_lifecycle_parity(case, tracing, plan_feedback):
     new_slow = db.slow_queries.entries()[slow:]
     assert len(new_slow) == ok
     for offender in new_slow:
-        assert offender.query_id == entry.query_id
+        assert offender is entry
         assert (offender.span_root is not None) == tracing
 
-    # per-operator actuals whenever a collector ran
+    # per-operator actuals whenever a collector ran: one record per
+    # physical operator, the executed ones in sys.operator_stats
+    feedback = [r for r in db.query_log.feedback_rows()
+                if r.query_id == entry.query_id]
     operators = [r for r in db.query_log.operator_rows()
                  if r.query_id == entry.query_id]
     collected = plan_feedback or tracing or case == "explain_analyze"
     assert bool(operators) == (status == "ok" and collected)
+    assert [r.op_index for r in feedback] == list(range(len(feedback)))
+    assert operators == [r for r in feedback if not r.never_executed]
 
     if not tracing:
         assert db.last_trace is None and db.spans.last_root is None
@@ -163,6 +168,28 @@ def test_hit_trace_carries_the_entrys_rewrite_fires():
     assert db.plan_cache.hits == hits + 1
     assert db.last_trace.rewrite_counts == cold
     assert db.last_trace.events == []
+
+
+def test_one_record_per_statement():
+    """``result.stats``, the ``sys.query_log`` row and the slow-log entry
+    are one object; ``sys.query_log.rewrite_fires`` sums its tally."""
+    db = Database(wal_enabled=False)
+    db.execute("create table o (id int primary key, c int not null)")
+    db.execute("create table c (id int primary key, n varchar(9))")
+    db.slow_queries.configure(threshold_s=0.0)
+    result = db.query("select o.id from o left outer join c on o.c = c.id")
+    assert result.stats is db.query_log.last()
+    assert db.slow_queries.entries()[-1] is result.stats
+    assert list(result.stats.to_dict()) == [
+        "query_id", "sql", "elapsed_ms", "recorded_at", "plan",
+        "plan_summary", "rewrite_fires"]
+    fires = result.stats.rewrite_fires
+    assert fires and result.stats.operators_removed > 0
+    (logged,) = db.query(
+        "select rewrite_fires from sys.query_log "
+        f"where query_id = '{result.stats.query_id}'"
+    ).rows
+    assert logged == (sum(fires.values()),)
 
 
 def test_ddl_and_dml_consume_no_query_id():
