@@ -549,20 +549,8 @@ class WorkloadGenerator:
                 agg={"fn": fn, "col": col, "alias": "agg0"},
                 where=where,
             )
-        if roll < 0.4 and "grp" in anchor:  # grouped aggregate
-            fn = rng.choice(["count_star", "sum"])
-            col = None if fn == "count_star" else rng.choice(
-                [c for c in anchor if c in relation.int_cols]
-            )
-            return QuerySpec(
-                source=relation.name,
-                columns=["grp"],
-                agg={"fn": fn, "col": col, "alias": "agg0"},
-                group_by=["grp"],
-                where=where,
-                order_cols=[["grp", True]],
-                order_unique=True,  # one output row per group key
-            )
+        if roll < 0.4 and "grp" in anchor:
+            return self._grouped_aggregate(rng, relation, where)
         columns = [c for c in anchor if rng.random() < 0.7] or [anchor[0]]
         spec = QuerySpec(
             source=relation.name,
@@ -612,19 +600,7 @@ class WorkloadGenerator:
                 where=where,
             )
         if roll < 0.3 and "grp" in anchor:
-            fn = rng.choice(["count_star", "sum", "min"])
-            col = None if fn == "count_star" else rng.choice(
-                [c for c in anchor if c in relation.int_cols]
-            )
-            return QuerySpec(
-                source=relation.name,
-                columns=["grp"],
-                agg={"fn": fn, "col": col, "alias": "agg0"},
-                group_by=["grp"],
-                where=where,
-                order_cols=[["grp", rng.random() < 0.8]],
-                order_unique=True,
-            )
+            return self._grouped_aggregate(rng, relation, where)
         columns = [c for c in anchor if rng.random() < 0.6] or [rng.choice(anchor)]
         spec = QuerySpec(
             source=relation.name,
@@ -634,6 +610,28 @@ class WorkloadGenerator:
         )
         self._maybe_order_and_limit(rng, spec, relation)
         return spec
+
+    def _grouped_aggregate(self, rng: random.Random, relation: _Relation,
+                           where: dict | None) -> QuerySpec:
+        """GROUP BY the int ``grp``, the dictionary-coded nullable ``tag``
+        or both, ordered on the group keys (one output row per key)."""
+        anchor = relation.anchor_cols
+        keys = ["grp"]
+        if "tag" in anchor:
+            keys = rng.choice([["grp"], ["tag"], ["grp", "tag"]])
+        fn = rng.choice(["count_star", "count", "sum", "min", "max"])
+        col = None if fn == "count_star" else rng.choice([
+            c for c in anchor if c in relation.int_cols or fn != "sum"
+        ])
+        return QuerySpec(
+            source=relation.name,
+            columns=list(keys),
+            agg={"fn": fn, "col": col, "alias": "agg0"},
+            group_by=list(keys),
+            where=where,
+            order_cols=[[key, rng.random() < 0.8] for key in keys],
+            order_unique=True,
+        )
 
     def _maybe_order_and_limit(self, rng: random.Random, spec: QuerySpec,
                                relation: _Relation) -> None:

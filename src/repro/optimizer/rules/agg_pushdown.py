@@ -44,7 +44,10 @@ def _rewrite_aggregate(op: Aggregate, sctx: SimplifyContext) -> LogicalOp:
     post_items: list[tuple[OutputCol, Expr]] = []
     changed = False
     for col, call in op.aggs:
-        peeled = _peel(call) if call.func == "SUM" and call.allow_precision_loss else None
+        # A DISTINCT SUM stays whole: peeling ROUND would change which
+        # values are distinct, not just the trailing digits.
+        peelable = call.func == "SUM" and call.allow_precision_loss and not call.distinct
+        peeled = _peel(call) if peelable else None
         if peeled is None:
             new_aggs.append((col, call))
             post_items.append((col, col.as_ref()))

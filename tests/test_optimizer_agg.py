@@ -98,3 +98,29 @@ class TestPrecisionLossRewrite:
     def test_count_not_rewritten(self, db):
         sql = "select allow_precision_loss(count(*)) from sales"
         assert db.query(sql).scalar() == 300
+
+
+class TestDistinctSumNotRewritten:
+    """Peeling ROUND off a DISTINCT SUM changes which values are distinct
+    (1.10 and 1.20 round to one value), which is no trailing-digit loss."""
+
+    @pytest.fixture
+    def prices(self):
+        database = Database()
+        database.execute("create table p (pid int primary key, price decimal(15,2))")
+        database.bulk_load("p", [
+            (i, decimal.Decimal(f"1.{i:02d}")) for i in range(1, 50)
+        ] + [(50, decimal.Decimal("2.00"))])
+        return database
+
+    STRICT = "select sum(distinct round(price, 0)) from p"
+    OPT_IN = "select allow_precision_loss(sum(distinct round(price, 0))) from p"
+
+    def test_round_stays_inside(self, prices):
+        assert agg_arg_has_round(prices, self.OPT_IN)
+
+    def test_result_equals_strict(self, prices):
+        strict = prices.query(self.STRICT).scalar()
+        assert strict == 3
+        assert prices.query(self.OPT_IN).scalar() == strict
+        assert prices.query(self.OPT_IN, optimize=False).scalar() == strict
