@@ -27,8 +27,10 @@ from ..errors import ReproError
 from .generator import Case
 
 #: batch sizes exercised by the batch-size metamorphic oracle: row-at-a-time,
-#: the default, and effectively whole-table materialization.
-BATCH_SIZES = (1, 1024, 1_000_000)
+#: a small multi-row size (fuzz tables have tens of rows, so 7 is the size
+#: whose batches both hold several rows and are several per table), the
+#: default, and effectively whole-table materialization.
+BATCH_SIZES = (1, 7, 1024, 1_000_000)
 
 
 @dataclass
@@ -172,8 +174,8 @@ def run_batch_metamorphic(
     case: Case, sizes=BATCH_SIZES, tally: dict | None = None
 ) -> Discrepancy | None:
     """The streaming executor's batch size must never change an answer:
-    batch_size=1 (row-at-a-time), the 1024 default, and a whole-table batch
-    all execute the same optimized plan."""
+    batch_size=1 (row-at-a-time), 7, the 1024 default, and a whole-table
+    batch all execute the same optimized plan."""
     oracle = "batch-metamorphic"
     mode = comparison_mode(case)
     # Subset-mode queries are nondeterministic across *plans* but each batch
