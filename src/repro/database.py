@@ -38,7 +38,7 @@ from .catalog.schema import (
     ViewSchema,
 )
 from .engine import Chunk, Executor, QueryResult
-from .engine.executor import DEFAULT_BATCH_SIZE, _collect_used_cids
+from .engine.executor import DEFAULT_BATCH_SIZE
 from .engine.eval import evaluate, evaluate_predicate
 from .errors import (
     BindError,
@@ -663,9 +663,7 @@ class Database:
                 return None
 
             plan = rewrite_op_exprs(plan, lambda e: rewrite_expr(e, replace))
-        physical = self._executor.compile(
-            plan, _collect_used_cids(plan), estimate=self._plan_feedback
-        )
+        physical = self._executor.compile(plan, estimate=self._plan_feedback)
         self.plan_cache.remember_compiled(entry, values, physical)
         return plan, physical
 

@@ -114,9 +114,6 @@ class Chunk:
             self._cols[cid] = col
         return col
 
-    def has_column(self, cid: int) -> bool:
-        return cid in (self._base if self._sel is not None else self._cols)
-
     # -- row selection ----------------------------------------------------
 
     def select(self, indices: list[int]) -> "Chunk":

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..algebra import ops
-from ..algebra.expr import Expr, referenced_cids
+from ..algebra.expr import Expr
 from ..errors import ExecutionError
 from ..storage.mvcc import Transaction
 from . import kernels
@@ -118,17 +118,14 @@ class Executor:
     def batch_size(self) -> int:
         return self._batch_size
 
-    def compile(
-        self, plan: ops.LogicalOp, used: frozenset[int] | None = None,
-        estimate: bool | None = None,
-    ):
+    def compile(self, plan: ops.LogicalOp, estimate: bool | None = None):
         """Compile a logical plan to its physical operator tree."""
-        # Imported lazily: the planner imports from this module.
+        # Imported lazily: the planner imports the engine package.
         from ..optimizer.physical_planner import create_physical_plan
 
         if estimate is None:
             estimate = self._plan_feedback
-        return create_physical_plan(plan, self._catalog, used, estimate)
+        return create_physical_plan(plan, self._catalog, estimate)
 
     def execute(
         self, plan: ops.LogicalOp, txn: Transaction, collector=None,
@@ -147,8 +144,7 @@ class Executor:
         # tree is the one that runs, so EXPLAIN ANALYZE annotates it.
         resolved = self._resolve_scalar_subqueries(plan, txn, collector, deadline)
         physical = self.compile(
-            resolved, _collect_used_cids(resolved),
-            estimate=self._plan_feedback or collector is not None,
+            resolved, estimate=self._plan_feedback or collector is not None
         )
         return self.execute_physical(resolved, physical, txn, collector, deadline)
 
@@ -273,47 +269,3 @@ class Executor:
             return rewrite_expr(expr, substitute)
 
         return rewrite_op_exprs(plan, resolve_expr)
-
-
-# ---------------------------------------------------------------------------
-# helpers
-# ---------------------------------------------------------------------------
-
-
-def _collect_used_cids(plan: ops.LogicalOp) -> frozenset[int]:
-    used: set[int] = {c.cid for c in plan.output}
-
-    def visit(op: ops.LogicalOp) -> None:
-        if isinstance(op, ops.Project):
-            for _, expr in op.items:
-                used.update(referenced_cids(expr))
-        elif isinstance(op, ops.Filter):
-            used.update(referenced_cids(op.predicate))
-        elif isinstance(op, ops.Join):
-            if op.condition is not None:
-                used.update(referenced_cids(op.condition))
-        elif isinstance(op, ops.Aggregate):
-            used.update(op.group_cids)
-            for _, call in op.aggs:
-                if call.arg is not None:
-                    used.update(referenced_cids(call.arg))
-        elif isinstance(op, ops.Sort):
-            used.update(k.cid for k in op.keys)
-        elif isinstance(op, ops.UnionAll):
-            for pos, col in enumerate(op.output):
-                if col.cid in used:
-                    for mapping in op.child_maps:
-                        used.add(mapping[pos])
-        elif isinstance(op, ops.Distinct):
-            used.update(c.cid for c in op.output)
-        for child in op.children:
-            visit(child)
-
-    # Two passes: the first propagates top-down requirements (union mapping
-    # depends on which outputs are used), the second catches unions nested
-    # under unions.  A small fixpoint keeps it exact.
-    previous = -1
-    while len(used) != previous:
-        previous = len(used)
-        visit(plan)
-    return frozenset(used)

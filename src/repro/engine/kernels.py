@@ -162,7 +162,7 @@ def _select(expr, chunk):
         return [i for i in sel_a if i in in_b], cmp_a + cmp_b
     if op in ("ISNULL", "ISNOTNULL"):
         arg = expr.args[0]
-        if not (isinstance(arg, ColRef) and chunk.has_column(arg.cid)):
+        if not isinstance(arg, ColRef):
             return None
         col = chunk.column(arg.cid)
         want_null = op == "ISNULL"
@@ -185,8 +185,6 @@ def _select(expr, chunk):
     elif isinstance(b, ColRef) and isinstance(a, Const):
         col_ref, const, op = b, a.value, _FLIP[op]
     else:
-        return None
-    if not chunk.has_column(col_ref.cid):
         return None
     col = chunk.column(col_ref.cid)
     if isinstance(col, DictVector):
@@ -292,8 +290,6 @@ def try_evaluate(expr, chunk):
     elif isinstance(b, ColRef) and isinstance(a, Const):
         col_ref, const, reversed_args = b, a.value, True
     else:
-        return None
-    if not chunk.has_column(col_ref.cid):
         return None
     col = chunk.column(col_ref.cid)
     if not isinstance(col, DictVector):

@@ -163,7 +163,11 @@ class PhysicalOp:
     def __init__(self, logical: ops.LogicalOp, children: tuple["PhysicalOp", ...]):
         self.logical = logical
         self.children = children
-        self.output = logical.output
+        #: Exactly the columns this operator's batches carry, derived
+        #: bottom-up at plan time: a row-selecting operator passes its
+        #: first child's columns through; an operator that builds new
+        #: batches sets its own.
+        self.output = children[0].output if children else logical.output
 
     # -- description (EXPLAIN surface) ----------------------------------
 
@@ -263,9 +267,12 @@ def _materialize(child: PhysicalOp, ctx: ExecContext) -> Chunk:
     """Drain a child stream into one chunk (pipeline-breaker input)."""
     stream = child.execute(ctx)
     try:
-        return Chunk.concat(list(stream))
+        batches = list(stream)
     finally:
         stream.close()
+    if not batches:
+        return Chunk.empty([c.cid for c in child.output])
+    return Chunk.concat(batches)
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +309,7 @@ class BatchScanExec(PhysicalOp):
     def __init__(self, logical: ops.Scan, wanted, prune_bounds=None):
         super().__init__(logical, ())
         self.wanted = tuple(wanted)
+        self.output = self.wanted
         self.prune_bounds = tuple(prune_bounds or ())
 
     def name(self) -> str:
@@ -430,6 +438,7 @@ class ProjectExec(PhysicalOp):
     def __init__(self, logical: ops.Project, child: PhysicalOp, items):
         super().__init__(logical, (child,))
         self.items = tuple(items)
+        self.output = tuple(col for col, _ in self.items)
 
     def name(self) -> str:
         return "Project"
@@ -506,10 +515,7 @@ class DistinctExec(PhysicalOp):
         stream = self.children[0].execute(ctx)
         try:
             for chunk in stream:
-                cols = [
-                    decode_column(chunk.column(c.cid)) for c in self.output
-                    if chunk.has_column(c.cid)
-                ]
+                cols = [decode_column(chunk.column(c.cid)) for c in self.output]
                 keep: list[int] = []
                 for i in range(chunk.row_count):
                     key = tuple(col[i] for col in cols)
@@ -920,6 +926,7 @@ class HashAggregateExec(PhysicalOp):
 
     def __init__(self, logical: ops.Aggregate, child: PhysicalOp):
         super().__init__(logical, (child,))
+        self.output = logical.output
 
     def name(self) -> str:
         return "HashAggregate"
@@ -990,6 +997,7 @@ class UnionAllExec(PhysicalOp):
     def __init__(self, logical: ops.UnionAll, children, positions):
         super().__init__(logical, tuple(children))
         self.positions = tuple(positions)
+        self.output = tuple(logical.output[pos] for pos in self.positions)
 
     def name(self) -> str:
         return "UnionAll"
@@ -1055,6 +1063,11 @@ class HashJoinExec(PhysicalOp):
         self.left_cids = tuple(left_cids)
         self.right_cids = tuple(right_cids)
         self.early_out = early_out
+        if logical.join_type not in (ops.JoinType.SEMI, ops.JoinType.ANTI):
+            kept = {*self.left_cids, *self.right_cids}
+            self.output = tuple(
+                c for c in (*left.output, *right.output) if c.cid in kept
+            )
 
     def name(self) -> str:
         join_type = self.logical.join_type
@@ -1175,10 +1188,7 @@ class HashJoinExec(PhysicalOp):
                 if lidx:
                     lrows.extend(lidx)
                     for cid, parts in pieces.items():
-                        parts.append(
-                            take_column(chunk.column(cid), jidx)
-                            if chunk.has_column(cid) else [None] * len(jidx)
-                        )
+                        parts.append(take_column(chunk.column(cid), jidx))
                     if ctx.track_mem:
                         held += 8 * len(lidx) + sum(
                             column_nbytes(parts[-1]) for parts in pieces.values()
@@ -1313,19 +1323,15 @@ class HashJoinExec(PhysicalOp):
         through once, its columns by reference (the zero-copy anchor)."""
         columns: dict[int, object] = {}
         for cid in self.left_cids:
-            if left_chunk.has_column(cid):
-                col = left_chunk.column(cid)
-                columns[cid] = col if lidx is None else take_column(col, lidx)
+            col = left_chunk.column(cid)
+            columns[cid] = col if lidx is None else take_column(col, lidx)
         for cid in self.right_cids:
-            if right_chunk.has_column(cid):
-                columns[cid] = pad_take_column(right_chunk.column(cid), ridx)
-            else:
-                columns[cid] = [None] * len(ridx)
+            columns[cid] = pad_take_column(right_chunk.column(cid), ridx)
         return Chunk(columns, len(ridx))
 
     def _apply_residual(self, left_chunk: Chunk, right_chunk: Chunk,
                         lidx: list[int], ridx: list[int]):
-        combined = self._residual_combine(left_chunk, right_chunk, lidx, ridx)
+        combined = self._combine(left_chunk, right_chunk, lidx, ridx)
         keep = [True] * len(lidx)
         for conjunct in self.residual:
             values = evaluate(conjunct, combined)
@@ -1336,16 +1342,6 @@ class HashJoinExec(PhysicalOp):
             [l for l, k in zip(lidx, keep) if k],
             [r for r, k in zip(ridx, keep) if k],
         )
-
-    def _residual_combine(self, left_chunk, right_chunk, lidx, ridx) -> Chunk:
-        # Unlike _combine this keys off whatever columns the chunks carry:
-        # the build-left path probes with (build, right chunk) arguments.
-        columns: dict[int, object] = {}
-        for cid in left_chunk.column_ids():
-            columns[cid] = take_column(left_chunk.column(cid), lidx)
-        for cid in right_chunk.column_ids():
-            columns[cid] = pad_take_column(right_chunk.column(cid), ridx)
-        return Chunk(columns, len(lidx))
 
 
 def _null_extend(lidx: list[int], ridx: list[int],
@@ -1398,8 +1394,6 @@ def _equi_pair(
 def _join_keys(exprs, chunk: Chunk, memos: dict) -> list:
     """One normalized, hashable join key per row of ``chunk``; ``None``
     where any key part is NULL.  A multi-column key is a tuple."""
-    if not chunk.row_count:
-        return []  # an empty input may carry no columns at all
     parts = [_key_vector(evaluate(expr, chunk), memos) for expr in exprs]
     if len(parts) == 1:
         return parts[0]

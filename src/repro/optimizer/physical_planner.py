@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from ..algebra import ops
 from ..algebra.expr import Call, ColRef, Const, Expr, conjuncts, referenced_cids
-from ..engine.executor import _collect_used_cids
 from ..engine.physical import (
     BatchScanExec,
     DistinctExec,
@@ -45,8 +44,7 @@ _FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "="}
 
 
 def create_physical_plan(
-    plan: ops.LogicalOp, catalog, used: frozenset[int] | None = None,
-    estimate: bool = True,
+    plan: ops.LogicalOp, catalog, estimate: bool = True
 ) -> PhysicalOp:
     """Compile a logical plan into an executable physical operator tree.
 
@@ -54,13 +52,52 @@ def create_physical_plan(
     optimizer's estimated output rows (``PhysicalOp.est_rows``) so the
     plan-feedback layer can join estimates against actuals post-execution.
     """
-    if used is None:
-        used = _collect_used_cids(plan)
+    used = _collect_used_cids(plan)
     estimator = CardinalityEstimator(StatisticsProvider(catalog))
     root = _compile(plan, used, estimator)
     if estimate:
         _stamp_estimates(root, estimator)
     return root
+
+
+def _collect_used_cids(plan: ops.LogicalOp) -> frozenset[int]:
+    """Every cid the plan reads anywhere: the columns pruning keeps."""
+    used: set[int] = {c.cid for c in plan.output}
+
+    def visit(op: ops.LogicalOp) -> None:
+        if isinstance(op, ops.Project):
+            for _, expr in op.items:
+                used.update(referenced_cids(expr))
+        elif isinstance(op, ops.Filter):
+            used.update(referenced_cids(op.predicate))
+        elif isinstance(op, ops.Join):
+            if op.condition is not None:
+                used.update(referenced_cids(op.condition))
+        elif isinstance(op, ops.Aggregate):
+            used.update(op.group_cids)
+            for _, call in op.aggs:
+                if call.arg is not None:
+                    used.update(referenced_cids(call.arg))
+        elif isinstance(op, ops.Sort):
+            used.update(k.cid for k in op.keys)
+        elif isinstance(op, ops.UnionAll):
+            for pos, col in enumerate(op.output):
+                if col.cid in used:
+                    for mapping in op.child_maps:
+                        used.add(mapping[pos])
+        elif isinstance(op, ops.Distinct):
+            used.update(c.cid for c in op.output)
+        for child in op.children:
+            visit(child)
+
+    # Two passes: the first propagates top-down requirements (union mapping
+    # depends on which outputs are used), the second catches unions nested
+    # under unions.  A small fixpoint keeps it exact.
+    previous = -1
+    while len(used) != previous:
+        previous = len(used)
+        visit(plan)
+    return frozenset(used)
 
 
 def _stamp_estimates(root: PhysicalOp, estimator: CardinalityEstimator) -> None:
@@ -153,12 +190,8 @@ def _prune_bounds(predicate: Expr, scan: ops.Scan):
 def _compile_join(
     op: ops.Join, used: frozenset[int], estimator: CardinalityEstimator
 ) -> HashJoinExec:
-    condition_refs = (
-        referenced_cids(op.condition) if op.condition is not None else frozenset()
-    )
-    child_used = used | condition_refs
-    left = _compile(op.left, child_used, estimator)
-    right = _compile(op.right, child_used, estimator)
+    left = _compile(op.left, used, estimator)
+    right = _compile(op.right, used, estimator)
 
     equi: list[tuple[Expr, Expr]] = []
     residual: list[Expr] = []
@@ -191,7 +224,7 @@ def _compile_join(
             ):
                 early_out = True
 
-    out_cids = frozenset(c.cid for c in op.output) & (used | condition_refs)
+    out_cids = frozenset(c.cid for c in op.output) & used
     join_left_cids = [c.cid for c in op.left.output if c.cid in out_cids]
     if op.join_type in (ops.JoinType.SEMI, ops.JoinType.ANTI):
         join_right_cids: list[int] = []

@@ -255,6 +255,9 @@ class SessionManager:
                 query_only: bool):
         submitted = time.monotonic()
         if not session._slock.acquire(blocking=False):
+            # Shutdown's closer holds the lock while it rolls back: a
+            # statement racing it is shed like any other late arrival.
+            self._check_open(session)
             raise ExecutionError(
                 f"session {session.session_id} already has a statement in "
                 "flight; a session runs one statement at a time"
@@ -268,10 +271,7 @@ class SessionManager:
     def _submit_locked(self, session: Session, sql: str,
                        timeout: float | None, query_only: bool,
                        submitted: float):
-        if session.state == CLOSED:
-            raise ExecutionError(f"session {session.session_id} is closed")
-        if self._draining or self._closed:
-            raise OverloadError("server is draining")
+        self._check_open(session)
         effective = timeout if timeout is not None else self.default_timeout_s
         deadline = None if effective is None else submitted + effective
         tenant = self.tenants.get(session.tenant)
@@ -305,10 +305,10 @@ class SessionManager:
                 raise ExecutionError("query() expects a SELECT statement")
             self.tenants.check_access(session.tenant, statement)
 
-            session.state = QUEUED
+            self._set_state(session, QUEUED)
             try:
                 def work():
-                    session.state = RUNNING
+                    self._set_state(session, RUNNING)
                     return self._run_statement(session, statement, sql,
                                                deadline)
 
@@ -334,8 +334,7 @@ class SessionManager:
                 self.tenants.count(session.tenant, "errors")
                 raise
             finally:
-                if session.state != CLOSED:
-                    session.state = IDLE
+                self._set_state(session, IDLE)
             settled = True
             tenant.breaker.record_success()
             self.tenants.count(session.tenant, "admitted")
@@ -343,6 +342,19 @@ class SessionManager:
         finally:
             if probe and not settled:
                 tenant.breaker.cancel_probe()
+
+    def _check_open(self, session: Session) -> None:
+        if self._draining or self._closed:
+            raise OverloadError("server is draining")
+        if session.state == CLOSED:
+            raise ExecutionError(f"session {session.session_id} is closed")
+
+    def _set_state(self, session: Session, state: str) -> None:
+        """Move an open session to ``state``; a closed session stays
+        closed.  Every write of ``session.state`` holds ``_lock``."""
+        with self._lock:
+            if session.state != CLOSED:
+                session.state = state
 
     def _run_statement(self, session: Session, statement, sql: str,
                        deadline: float | None):

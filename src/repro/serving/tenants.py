@@ -121,35 +121,6 @@ class TenantRegistry:
                 self._tenants[lowered] = state
             return state
 
-    def configure(
-        self,
-        name: str,
-        rate_per_s: float | None = None,
-        burst: int | None = None,
-        breaker_threshold: int | None = None,
-        breaker_cooldown_s: float | None = None,
-    ) -> TenantState:
-        """Override one tenant's limits (replaces its bucket/breaker)."""
-        state = self.get(name)
-        with self._lock:
-            if rate_per_s is not None:
-                state.bucket = TokenBucket(rate_per_s, burst)
-            if breaker_threshold is not None or breaker_cooldown_s is not None:
-                state.breaker = CircuitBreaker(
-                    state.name,
-                    failure_threshold=(
-                        breaker_threshold
-                        if breaker_threshold is not None
-                        else self._breaker_threshold
-                    ),
-                    cooldown_s=(
-                        breaker_cooldown_s
-                        if breaker_cooldown_s is not None
-                        else self._breaker_cooldown_s
-                    ),
-                )
-            return state
-
     def states(self) -> list[TenantState]:
         with self._lock:
             return list(self._tenants.values())

@@ -5,6 +5,12 @@
 ``vdm_tables_db`` — tpch_db plus the paper's ta/td active/draft tables.
 ``sales_db``      — module-scoped §7 sales workload.
 ``journal_db``    — session-scoped JournalEntryItemBrowser model (read-only!).
+
+``physical_schemas`` (autouse) checks every non-empty batch of every
+physical operator against that operator's ``output``: the batch must carry
+exactly the declared column ids.  Mismatches are recorded and fail the test
+at teardown, so a planner bug surfaces even where the fuzz oracles turn
+exceptions into "crash" strings.
 """
 
 from __future__ import annotations
@@ -12,7 +18,40 @@ from __future__ import annotations
 import pytest
 
 from repro import Database
+from repro.engine.physical import PhysicalOp
 from repro.workloads import create_sales_schema, create_tpch_schema, load_sales, load_tpch
+
+
+@pytest.fixture(autouse=True)
+def physical_schemas():
+    """Yield the list of schema mismatches; fail at teardown if any."""
+    mismatches: list[str] = []
+    original = PhysicalOp._stream
+
+    def checked(self, ctx):
+        declared = [c.cid for c in self.output]
+        expected = set(declared)
+        inner = original(self, ctx)
+        try:
+            for chunk in inner:
+                if chunk.row_count and (
+                    len(expected) != len(declared)
+                    or set(chunk.column_ids()) != expected
+                ):
+                    mismatches.append(
+                        f"{self.label()}: batch carries "
+                        f"{sorted(chunk.column_ids())}, output declares {declared}"
+                    )
+                yield chunk
+        finally:
+            inner.close()
+
+    PhysicalOp._stream = checked
+    try:
+        yield mismatches
+    finally:
+        PhysicalOp._stream = original
+    assert not mismatches, "\n".join(mismatches[:5])
 
 
 @pytest.fixture

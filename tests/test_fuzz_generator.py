@@ -23,10 +23,12 @@ from repro.fuzz.generator import TARGET_FIRES, TARGETS, Case, WorkloadGenerator
 from repro.fuzz.oracles import ORACLES, comparison_mode, run_all_oracles
 from repro.fuzz.reducer import reduce_case
 from repro.optimizer.rules import simplify_joins
+from tests.conftest import rows_equal
 
 GENERATOR_SEED = 101
 EXECUTE_ITERATIONS = 200
 BIAS_ITERATIONS = 120
+POSTGRES_ITERATIONS = 60
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +48,21 @@ class TestGeneratedCasesExecute:
             baseline = db.query(sql, optimize=False)
             assert optimized.column_names == baseline.column_names
             assert db.query(case.query.count_sql()).scalar() is not None
+
+    def test_postgres_profile_cases_execute(self):
+        """The postgres profile keeps the joins the hana profile removes,
+        so its cases exercise the join operators' physical schemas (the
+        autouse fixture checks every batch)."""
+        generator = WorkloadGenerator(seed=GENERATOR_SEED, profile="postgres")
+        for index in range(POSTGRES_ITERATIONS):
+            case = generator.case(index)
+            db = case.build()
+            sql = case.sql()
+            optimized = db.query(sql)
+            baseline = db.query(sql, optimize=False)
+            assert optimized.column_names == baseline.column_names
+            if comparison_mode(case) != "subset":
+                assert rows_equal(optimized, baseline), sql
 
     def test_cases_cover_every_target(self, cases):
         seen = {case.targets[0] if case.targets else "mixed" for case in cases}

@@ -132,10 +132,6 @@ class TestChunk:
         chunk = Chunk.empty([5, 6])
         assert chunk.row_count == 0 and set(chunk.columns) == {5, 6}
 
-    def test_has_column(self):
-        chunk = Chunk({7: []}, 0)
-        assert chunk.has_column(7) and not chunk.has_column(8)
-
 
 class TestReporting:
     def test_matrix_match(self):

@@ -216,7 +216,7 @@ class TestScanPruning:
     def test_scan_reads_only_used_columns(self, db):
         # engine-level late materialization: unused fact columns never decode
         plan = db.plan_for("select fid from fact")
-        from repro.engine.executor import _collect_used_cids
+        from repro.optimizer.physical_planner import _collect_used_cids
         used = _collect_used_cids(plan)
         scan = [n for n in plan.walk() if isinstance(n, Scan)][0]
         wanted = [c.name for c in scan.output if c.cid in used]

@@ -341,6 +341,36 @@ def test_close_skips_rollback_while_statement_runs(db):
     manager.shutdown()
 
 
+def test_submit_racing_shutdown_is_shed_as_draining(db, monkeypatch):
+    """A statement submitted while shutdown's closer holds the session
+    lock (rolling back the abandoned transaction) is shed like any late
+    statement — not refused as a second statement in flight."""
+    manager = SessionManager(db)
+    session = manager.session()
+    session.begin()
+    session.execute("insert into shared values (9, 90)")
+    parked, release = threading.Event(), threading.Event()
+    rollback = db.rollback
+
+    def parked_rollback(txn):
+        parked.set()
+        release.wait(5)
+        rollback(txn)
+
+    monkeypatch.setattr(db, "rollback", parked_rollback)
+    closer = threading.Thread(target=manager.shutdown)
+    closer.start()
+    try:
+        assert parked.wait(5), "shutdown never reached the rollback"
+        with pytest.raises(OverloadError, match="draining"):
+            session.query("select count(*) from shared")
+    finally:
+        release.set()
+        closer.join(5)
+    assert not closer.is_alive()
+    assert db.query("select count(*) from shared").rows == [(2,)]
+
+
 def test_shutdown_flushes_durable_wal(tmp_path):
     db = Database(wal_dir=str(tmp_path), fsync="never")
     db.execute("create table t (id int primary key)")
