@@ -2,11 +2,11 @@
 
 Every query records per-operator est/actual/Q-error feedback rows when
 ``plan_feedback`` is on (the default).  The accounting is deliberately
-cheap — estimate stamping is one walk of the physical tree, memory
-accounting samples eight rows per buffered column, and the feedback rows
-land in bounded rings — but it is not free, so ``plan_feedback=False``
-must short-circuit *all* of it: no collector, no estimate stamping, no
-memory tracking, no ring appends.
+cheap — memory accounting samples eight rows per buffered column, and
+the feedback rows land in bounded rings — but it is not free, so
+``plan_feedback=False`` must short-circuit *all* of it: no collector, no
+memory tracking, no ring appends.  (Estimates are stamped during physical
+planning on both paths.)
 
 The gate test interleaves paired rounds over identical databases (so
 clock drift, GC pauses, and cache warmth hit both sides equally) and
@@ -114,10 +114,9 @@ def test_disabled_path_sheds_the_overhead(feedback_db, no_feedback_db, benchmark
         "",
         f"feedback accounting overhead: {overhead:+.1%}",
         "",
-        "Expected shape: the enabled path pays a tree walk for estimate",
-        "stamping, per-chunk size sampling in blocking operators, and two",
-        "ring appends per query; disabled must shed all of it (the gate",
-        "asserts disabled <= 1.05x enabled).",
+        "Expected shape: the enabled path pays per-chunk size sampling",
+        "in blocking operators and two ring appends per query; disabled",
+        "must shed all of it (the gate asserts disabled <= 1.05x enabled).",
     ]
     write_report("observability_overhead", "\n".join(lines))
     # The disabled path does strictly less work; 5% headroom is noise.

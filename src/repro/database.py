@@ -157,11 +157,11 @@ class Database:
     ``<capture_dir>/workload.jsonl`` for later ``python -m repro replay``.
 
     ``plan_feedback`` (default True) closes the estimate→execute→observe
-    loop: every query runs under a collector, its physical operators are
-    stamped with estimated rows, and per-operator est/actual/Q-error rows
-    land in ``sys.plan_feedback`` (plus the ``optimizer.qerror`` histogram
-    and per-kind misestimate counters).  Set it False to run queries with
-    zero instrumentation beyond the base counters.
+    loop: every query runs under a collector, and the per-operator
+    est/actual/Q-error rows land in ``sys.plan_feedback`` (plus the
+    ``optimizer.qerror`` histogram and per-kind misestimate counters).
+    Set it False to run queries with zero instrumentation beyond the base
+    counters.
 
     ``memory_budget_bytes`` arms a *soft* per-query limit on the estimated
     bytes held by blocking operators (hash tables, sort buffers): the
@@ -227,7 +227,6 @@ class Database:
         self._executor = Executor(
             self.catalog, metrics=self.metrics, tracer=self.spans,
             faults=self.faults, batch_size=batch_size,
-            plan_feedback=plan_feedback,
             memory_budget_bytes=memory_budget_bytes,
             vectorized=vectorized,
         )
@@ -663,7 +662,7 @@ class Database:
                 return None
 
             plan = rewrite_op_exprs(plan, lambda e: rewrite_expr(e, replace))
-        physical = self._executor.compile(plan, estimate=self._plan_feedback)
+        physical = self._executor.compile(plan)
         self.plan_cache.remember_compiled(entry, values, physical)
         return plan, physical
 

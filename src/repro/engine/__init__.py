@@ -2,7 +2,7 @@
 
 Executes (optimized) logical plans directly: each operator materializes a
 :class:`repro.engine.chunk.Chunk` (a dict of cid -> value list).  Scans read
-only the columns referenced anywhere in the plan, which together with the
+only the columns some ancestor operator reads, which together with the
 optimizer's projection pruning gives the late-materialization behaviour the
 paper attributes to columnar engines.
 """

@@ -66,15 +66,13 @@ class Chunk:
 
     @classmethod
     def concat(cls, chunks: "list[Chunk]") -> "Chunk":
-        """Concatenate batches into one chunk.
+        """Concatenate one or more batches into one chunk.
 
         ``row_count`` is summed independently of the column dicts so
         zero-column batches (a fully-pruned ``COUNT(*)`` input) keep their
         cardinality through the batch pipeline.  Same-dictionary code
         vectors merge without decoding.
         """
-        if not chunks:
-            return cls({}, 0)
         if len(chunks) == 1:
             return chunks[0]
         pieces: dict[int, list] = {

@@ -73,16 +73,13 @@ class Executor:
 
     def __init__(
         self, catalog, metrics=None, tracer=None, faults=None,
-        batch_size: int = DEFAULT_BATCH_SIZE, plan_feedback: bool = True,
+        batch_size: int = DEFAULT_BATCH_SIZE,
         memory_budget_bytes: int | None = None, vectorized: bool = True,
     ):
         self._catalog = catalog
         self._tracer = tracer
         self._faults = faults
         self._batch_size = max(1, batch_size)
-        #: Stamp physical operators with estimated rows at compile time so
-        #: est/actual Q-error can be computed post-execution.
-        self._plan_feedback = plan_feedback
         #: Soft per-query memory budget (estimated bytes); None = unlimited.
         self._memory_budget = memory_budget_bytes
         #: Vectorized kernels on (the default) or forced off — the scalar
@@ -118,14 +115,13 @@ class Executor:
     def batch_size(self) -> int:
         return self._batch_size
 
-    def compile(self, plan: ops.LogicalOp, estimate: bool | None = None):
-        """Compile a logical plan to its physical operator tree."""
+    def compile(self, plan: ops.LogicalOp):
+        """Compile a logical plan to its physical operator tree, every
+        operator stamped with its estimated rows."""
         # Imported lazily: the planner imports the engine package.
         from ..optimizer.physical_planner import create_physical_plan
 
-        if estimate is None:
-            estimate = self._plan_feedback
-        return create_physical_plan(plan, self._catalog, estimate)
+        return create_physical_plan(plan, self._catalog)
 
     def execute(
         self, plan: ops.LogicalOp, txn: Transaction, collector=None,
@@ -143,9 +139,7 @@ class Executor:
         # Scalar-subquery resolution may rewrite the tree; the resolved
         # tree is the one that runs, so EXPLAIN ANALYZE annotates it.
         resolved = self._resolve_scalar_subqueries(plan, txn, collector, deadline)
-        physical = self.compile(
-            resolved, estimate=self._plan_feedback or collector is not None
-        )
+        physical = self.compile(resolved)
         return self.execute_physical(resolved, physical, txn, collector, deadline)
 
     def execute_physical(

@@ -155,9 +155,9 @@ class PhysicalOp:
     #: it without importing this module (avoids an engine↔observability
     #: import cycle).
     is_scan_op = False
-    #: Estimated output rows, stamped post-compile by the physical planner
-    #: when plan feedback is enabled; joined against actual rows to compute
-    #: the per-operator Q-error.  None when estimation was skipped/failed.
+    #: Estimated output rows, stamped on every operator by the physical
+    #: planner; joined against actual rows to compute the per-operator
+    #: Q-error.
     est_rows: float | None = None
 
     def __init__(self, logical: ops.LogicalOp, children: tuple["PhysicalOp", ...]):
@@ -296,9 +296,9 @@ class OneRowExec(PhysicalOp):
 class BatchScanExec(PhysicalOp):
     """Batched table scan; optionally zone-map pruned.
 
-    ``wanted`` is fixed at plan time to the columns referenced anywhere in
-    the plan.  ``prune_bounds`` holds plan-time-extracted
-    ``(column, op, const)`` conjuncts from a fused Filter parent; at open
+    ``wanted`` is fixed at plan time to the columns some ancestor reads.
+    ``prune_bounds`` holds plan-time-extracted ``(column, op, const)``
+    conjuncts from a Filter parent (set by the planner); at open
     the zone maps of the merged main fragment decide which blocks to skip,
     and the surviving row ids are streamed through the storage batch API so
     block pruning composes with streaming.
@@ -306,11 +306,12 @@ class BatchScanExec(PhysicalOp):
 
     is_scan_op = True
 
-    def __init__(self, logical: ops.Scan, wanted, prune_bounds=None):
+    prune_bounds: tuple = ()
+
+    def __init__(self, logical: ops.Scan, wanted):
         super().__init__(logical, ())
         self.wanted = tuple(wanted)
         self.output = self.wanted
-        self.prune_bounds = tuple(prune_bounds or ())
 
     def name(self) -> str:
         return f"BatchScan({self.logical.schema.name})"

@@ -133,9 +133,9 @@ class ExecutionCollector:
     def annotation(self, op) -> str:
         """The EXPLAIN ANALYZE suffix for one plan node.
 
-        Includes the optimizer's estimated rows and the resulting Q-error
-        when the plan was compiled with estimate stamping (the default);
-        falls back to the actual-only form for unstamped plans.
+        Includes the optimizer's estimated rows (the physical planner
+        stamps every operator) and the resulting Q-error; falls back to
+        the actual-only form for an unstamped operator.
         """
         est = getattr(op, "est_rows", None)
         stats = self._stats.get(id(op))

@@ -38,16 +38,28 @@ DEFAULT_EQ_SELECTIVITY = 1 / 10
 
 
 class CardinalityEstimator:
-    """Estimates output cardinalities bottom-up, tracking column ndv."""
+    """Estimates output cardinalities bottom-up, tracking column ndv.
+
+    Each node is evaluated once per estimator: its estimate is remembered
+    for the estimator's lifetime (one compile, one join-ordering pass).
+    """
 
     def __init__(self, stats: StatisticsProvider):
         self._stats = stats
         # cid -> estimated distinct count, filled while estimating
         self._ndv: dict[int, float] = {}
+        # id(op) -> (op, rows); holding the node keeps its id from reuse
+        self._rows: dict[int, tuple[LogicalOp, float]] = {}
 
     # -- public API ------------------------------------------------------------
 
     def estimate(self, op: LogicalOp) -> float:
+        known = self._rows.get(id(op))
+        if known is None:
+            known = self._rows[id(op)] = (op, self._evaluate(op))
+        return known[1]
+
+    def _evaluate(self, op: LogicalOp) -> float:
         if isinstance(op, Scan):
             stats = self._stats.table_stats(op.schema.name)
             for col in op.output:

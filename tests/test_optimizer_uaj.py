@@ -4,7 +4,9 @@ positive and negative cases for every AJ class, plus cascades."""
 import pytest
 
 from repro import Database
-from repro.algebra.ops import Join, Scan
+from repro.algebra.ops import Join
+from repro.engine.physical import BatchScanExec
+from repro.optimizer.physical_planner import create_physical_plan
 from tests.conftest import assert_equivalent
 
 
@@ -216,8 +218,6 @@ class TestScanPruning:
     def test_scan_reads_only_used_columns(self, db):
         # engine-level late materialization: unused fact columns never decode
         plan = db.plan_for("select fid from fact")
-        from repro.optimizer.physical_planner import _collect_used_cids
-        used = _collect_used_cids(plan)
-        scan = [n for n in plan.walk() if isinstance(n, Scan)][0]
-        wanted = [c.name for c in scan.output if c.cid in used]
-        assert wanted == ["fid"]
+        physical = create_physical_plan(plan, db.catalog)
+        scan = [n for n in physical.walk() if isinstance(n, BatchScanExec)][0]
+        assert [c.name for c in scan.wanted] == ["fid"]

@@ -20,14 +20,13 @@ def _declare_unpruned_scans(monkeypatch) -> None:
     """Make every scan declare its table's full column list, as physical
     operators did before their schemas were derived, while still reading
     only the pruned columns."""
-    original = physical_planner._compile_scan
 
-    def unpruned(op, used, bounds=None):
-        scan = original(op, used, bounds)
-        scan.output = op.output
-        return scan
+    class UnprunedScan(physical_planner.BatchScanExec):
+        def __init__(self, logical, wanted):
+            super().__init__(logical, wanted)
+            self.output = logical.output
 
-    monkeypatch.setattr(physical_planner, "_compile_scan", unpruned)
+    monkeypatch.setattr(physical_planner, "BatchScanExec", UnprunedScan)
 
 
 def test_fixture_records_a_wrong_scan_output(monkeypatch, physical_schemas):

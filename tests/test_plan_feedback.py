@@ -260,6 +260,29 @@ def test_plan_feedback_disabled_records_nothing():
     db.close()
 
 
+def test_plan_cache_hit_keeps_estimates_with_plan_feedback_disabled():
+    # Tracing collects operator stats; a hit compiles the cached generic
+    # plan and must carry the same estimates as the misses before it.
+    db = Database(plan_feedback=False)
+    db.execute("create table t (id int primary key, v int)")
+    db.execute("insert into t values " + ", ".join(
+        f"({i}, {i * 10})" for i in range(100)
+    ))
+    db.tracing = True
+    query_ids = [
+        db.query(f"select v from t where id = {key}").stats.query_id
+        for key in (1, 2, 3)
+    ]
+    assert db.plan_cache.hits == 1
+    estimates = [
+        [f.est_rows for f in db.query_log.feedback_rows() if f.query_id == qid]
+        for qid in query_ids
+    ]
+    assert estimates[0] and None not in estimates[0]
+    assert estimates[2] == estimates[0]
+    db.close()
+
+
 # -- per-shape latency baselines --------------------------------------------
 
 

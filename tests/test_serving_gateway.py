@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -161,18 +162,27 @@ def test_sys_admission_visible_over_http(gateway):
 # -- the overload acceptance scenario ----------------------------------------
 
 
-def test_overload_sheds_structured_429s():
+def test_overload_sheds_structured_429s(monkeypatch):
     """4x max_concurrent closed-loop load: every response is either a
     result or a structured 429/503/408 — nothing hangs, nothing 500s."""
     db = Database()
     db.execute("create table big (id int primary key, v int)")
-    # every v identical: the self-join fans out to 160k rows, so each
-    # statement holds its slot long enough for real queue pressure
     db.execute("insert into big values " + ", ".join(
-        f"({i}, 1)" for i in range(400)
+        f"({i}, 1)" for i in range(20)
     ))
     server = GatewayServer(db, port=0, max_concurrent=2, max_queue=1).start()
     slow_sql = "select count(*) from big a join big b on a.v = b.v"
+    # Admitted statements park until released, so the two slots and the
+    # one queue place stay taken while the other clients arrive: queue
+    # pressure does not depend on how fast the join runs.
+    release = threading.Event()
+    query = db.query
+
+    def parked_query(*args, **kwargs):
+        release.wait(60)
+        return query(*args, **kwargs)
+
+    monkeypatch.setattr(db, "query", parked_query)
     clients = 4 * 2
     outcomes: list[tuple[int, dict, dict]] = []
     lock = threading.Lock()
@@ -186,6 +196,11 @@ def test_overload_sheds_structured_429s():
     threads = [threading.Thread(target=client) for _ in range(clients)]
     for thread in threads:
         thread.start()
+    give_up = time.monotonic() + 60
+    while (db.metrics.snapshot().get("serving.shed", 0) == 0
+           and time.monotonic() < give_up):
+        time.sleep(0.01)
+    release.set()
     for thread in threads:
         thread.join(timeout=120)
     assert not any(t.is_alive() for t in threads), "hung client threads"

@@ -18,6 +18,7 @@ from repro.engine.physical import (
 )
 from repro.errors import FaultInjectedError, QueryTimeoutError
 from repro.observability import ExecutionCollector
+from repro.optimizer.cost import CardinalityEstimator
 
 ORDERS = 2000
 CUSTS = 100
@@ -156,7 +157,6 @@ class TestZeroColumnBatches:
         assert merged.row_count == 7
         assert merged.columns == {}
         assert merged.rows([]) == [()] * 7
-        assert Chunk.concat([]).row_count == 0
 
     def test_concat_with_columns(self):
         merged = Chunk.concat([Chunk({1: [10, 11]}, 2), Chunk({1: [12]}, 1)])
@@ -283,6 +283,48 @@ class TestPhysicalPlanner:
         scan = [op for op in db._executor.compile(plan).walk()
                 if isinstance(op, BatchScanExec)][0]
         assert [c.name for c in scan.wanted] == ["okey"]
+
+    def test_join_does_not_carry_keys_only_it_reads(self):
+        db = self.planner_db()
+        plan = db.plan_for(
+            "select o.okey, c.cname from bigorders o "
+            "join pagecust c on o.cust = c.ckey"
+        )
+        join = [op for op in db._executor.compile(plan).walk()
+                if isinstance(op, HashJoinExec)][0]
+        assert [c.name for c in join.output] == ["okey", "cname"]
+        assert {c.name for c in join.children[0].output} == {"okey", "cust"}
+
+    def test_join_carries_residual_columns(self):
+        # A residual is evaluated over the joined batch, so the columns it
+        # reads stay in the join's output; the equi key does not.
+        db = self.planner_db()
+        plan = db.plan_for(
+            "select c.cname from bigorders o join pagecust c "
+            "on o.cust = c.ckey and o.okey > c.ckey"
+        )
+        join = [op for op in db._executor.compile(plan).walk()
+                if isinstance(op, HashJoinExec)][0]
+        assert join.residual
+        assert {c.name for c in join.output} == {"okey", "ckey", "cname"}
+
+    def test_estimator_evaluates_each_node_once(self, journal_db, monkeypatch):
+        db, _ = journal_db
+        plan = db.plan_for(
+            "select * from journalentryitembrowser order by acdockey limit 50"
+        )
+        evaluated = []
+        evaluate = CardinalityEstimator._evaluate
+
+        def counting(estimator, op):
+            evaluated.append(id(op))
+            return evaluate(estimator, op)
+
+        monkeypatch.setattr(CardinalityEstimator, "_evaluate", counting)
+        root = db._executor.compile(plan)
+        nodes = sum(1 for _ in plan.walk())
+        assert len(evaluated) == len(set(evaluated)) == nodes <= 160
+        assert all(op.est_rows is not None for op in root.walk())
 
 
 class TestStreamingSemantics:
