@@ -14,7 +14,7 @@ import decimal
 import re
 from functools import lru_cache
 
-from ..errors import ExecutionError
+from ..errors import ExecutionError, TypeCheckError
 from ..algebra.expr import Call, Case, Cast, ColRef, Const, Expr
 from ..datatypes import DataType, TypeKind
 from . import kernels
@@ -90,23 +90,29 @@ def _cmp(op: str):
     def compare(expr: Call, chunk: Chunk) -> list:
         left, right = _binary_args(expr, chunk)
         out = []
-        for a, b in zip(left, right):
-            if a is None or b is None:
-                out.append(None)
-                continue
-            a, b = _coerce_pair(a, b)
-            if op == "=":
-                out.append(a == b)
-            elif op == "<>":
-                out.append(a != b)
-            elif op == "<":
-                out.append(a < b)
-            elif op == "<=":
-                out.append(a <= b)
-            elif op == ">":
-                out.append(a > b)
-            else:
-                out.append(a >= b)
+        try:
+            for a, b in zip(left, right):
+                if a is None or b is None:
+                    out.append(None)
+                    continue
+                a, b = _coerce_pair(a, b)
+                if op == "=":
+                    out.append(a == b)
+                elif op == "<>":
+                    out.append(a != b)
+                elif op == "<":
+                    out.append(a < b)
+                elif op == "<=":
+                    out.append(a <= b)
+                elif op == ">":
+                    out.append(a > b)
+                else:
+                    out.append(a >= b)
+        except TypeError:  # e.g. INTEGER < VARCHAR: the query's fault
+            left_type, right_type = (arg.data_type for arg in expr.args)
+            raise TypeCheckError(
+                f"cannot compare {left_type} {a!r} {op} {right_type} {b!r}"
+            ) from None
         return out
 
     return compare

@@ -6,7 +6,11 @@ row-at-a-time handlers:
 - :func:`try_select` compiles a predicate into a *selection vector* (kept
   row positions) operating on whole columns — dictionary-coded columns
   compare raw codes against a single looked-up/bisected code threshold
-  instead of decoding every row;
+  instead of decoding every row.  Boolean connectives compose in
+  selection space: ``OR`` is the sorted union of its children's
+  selections, and ``AND`` narrows — its second child runs only on the
+  first child's survivors.  If any leaf has no kernel, the whole
+  predicate declines and takes the row path;
 - :func:`try_evaluate` computes ``col <op> const`` arithmetic as a
   *dictionary transform*: O(distinct) arithmetic plus a shared code
   vector, instead of O(rows) Python-object arithmetic.
@@ -149,17 +153,19 @@ def _select(expr, chunk):
     if not isinstance(expr, Call):
         return None
     op = expr.op
-    if op == "AND":
+    if op == "AND" or op == "OR":
         first = _select(expr.args[0], chunk)
         if first is None:
             return None
-        second = _select(expr.args[1], chunk)
+        sel_a, cmp_a = first
+        # OR sees the whole batch; AND narrows to the first child's survivors.
+        second = _select(expr.args[1], chunk if op == "OR" else chunk.select(sel_a))
         if second is None:
             return None
-        sel_a, cmp_a = first
         sel_b, cmp_b = second
-        in_b = set(sel_b)
-        return [i for i in sel_a if i in in_b], cmp_a + cmp_b
+        if op == "OR":
+            return sorted(set(sel_a).union(sel_b)), cmp_a + cmp_b
+        return [sel_a[i] for i in sel_b], cmp_a + cmp_b
     if op in ("ISNULL", "ISNOTNULL"):
         arg = expr.args[0]
         if not isinstance(arg, ColRef):
@@ -238,7 +244,7 @@ def _select_dict(col: DictVector, op: str, const):
         lo = bisect_left(dictionary, const)
         return [i for i, c in enumerate(codes) if c >= lo], n
     except TypeError:
-        return None  # incomparable types: the row path raises properly
+        return None  # incomparable types: the row path raises TypeCheckError
 
 
 def _select_typed(col, op: str, const):

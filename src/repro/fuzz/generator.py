@@ -89,7 +89,10 @@ class QuerySpec:
     agg: dict | None = None
     group_by: list[str] = field(default_factory=list)
     #: One simple predicate ``{"col", "op", "value"}``; op additionally
-    #: allows ``is null`` / ``is not null`` (value ignored).
+    #: allows ``is null`` / ``is not null`` (value ignored) and the DAC
+    #: shape ``= or is null`` (``(col = value or col is null)``).  An
+    #: optional ``"and"`` entry holds a second predicate of the same form,
+    #: joined with AND.
     where: dict | None = None
     distinct: bool = False
     #: ORDER BY keys as ``[column, ascending]`` pairs.
@@ -121,18 +124,23 @@ class QuerySpec:
     def _where_clause(self) -> str:
         if self.where is None:
             return ""
-        col, op = self.where["col"], self.where["op"]
-        if op in ("is null", "is not null"):
-            return f" where {col} {op}"
-        value = self.where["value"]
-        if value is None:
-            literal = "null"
-        elif isinstance(value, str):
-            escaped = value.replace("'", "''")
-            literal = f"'{escaped}'"
-        else:
-            literal = str(value)
-        return f" where {col} {op} {literal}"
+        clause = f" where {_predicate_sql(self.where)}"
+        if "and" in self.where:
+            clause += f" and {_predicate_sql(self.where['and'])}"
+        return clause
+
+    def where_shapes(self) -> set[str]:
+        """Which composite predicate shapes the WHERE clause carries:
+        ``dac`` (``col = c or col is null``) and ``and`` (two conjuncts)."""
+        shapes = set()
+        if self.where is None:
+            return shapes
+        if "and" in self.where:
+            shapes.add("and")
+        for pred in (self.where, self.where.get("and")):
+            if pred is not None and pred["op"] == "= or is null":
+                shapes.add("dac")
+        return shapes
 
     def sql(self, limited: bool = True, ordered: bool = True) -> str:
         parts = ["select "]
@@ -157,6 +165,23 @@ class QuerySpec:
     def count_sql(self) -> str:
         """COUNT(*) over the unlimited, unordered body (derived table)."""
         return f"select count(*) from ({self.sql(limited=False, ordered=False)}) fz"
+
+
+def _predicate_sql(pred: dict) -> str:
+    col, op = pred["col"], pred["op"]
+    if op in ("is null", "is not null"):
+        return f"{col} {op}"
+    value = pred["value"]
+    if value is None:
+        literal = "null"
+    elif isinstance(value, str):
+        escaped = value.replace("'", "''")
+        literal = f"'{escaped}'"
+    else:
+        literal = str(value)
+    if op == "= or is null":
+        return f"({col} = {literal} or {col} is null)"
+    return f"{col} {op} {literal}"
 
 
 @dataclass
@@ -505,6 +530,20 @@ class WorkloadGenerator:
                    allowed: list[str]) -> dict | None:
         if not allowed or rng.random() < 0.45:
             return None
+        where = self._gen_predicate(rng, relation, allowed)
+        if rng.random() < 0.3:
+            where["and"] = self._gen_predicate(rng, relation, allowed)
+        return where
+
+    def _gen_predicate(self, rng: random.Random, relation: _Relation,
+                       allowed: list[str]) -> dict:
+        # The DAC shape lands on the coded, nullable tag columns: ``tag``
+        # and the left-outer-joined augmenter columns ``d_tag``/``ext_tag``.
+        tags = [c for c in allowed
+                if c in relation.nullable_cols and c not in relation.int_cols]
+        if tags and rng.random() < 0.5:
+            return {"col": rng.choice(tags), "op": "= or is null",
+                    "value": rng.choice(_TAGS)}
         col = rng.choice(allowed)
         if col in relation.int_cols:
             op = rng.choice(["=", "<", "<=", ">", ">=", "<>"])
@@ -572,7 +611,13 @@ class WorkloadGenerator:
         if relation.unique_col and relation.unique_col not in columns:
             columns.insert(0, relation.unique_col)
         columns += aug_pick
-        where = self._gen_where(rng, relation, relation.anchor_cols)
+        allowed = list(relation.anchor_cols)
+        if not paging:
+            # A filter above the join on a coded augmenter column (the
+            # paper's DAC restriction); paging keeps it off so the limit
+            # still pushes below the join.
+            allowed += [c for c in relation.aug_cols if c not in relation.int_cols]
+        where = self._gen_where(rng, relation, allowed)
         spec = QuerySpec(source=relation.name, columns=columns, where=where)
         if paging:
             spec.limit = rng.randint(1, 12)

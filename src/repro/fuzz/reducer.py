@@ -78,6 +78,10 @@ def _shrink_query(case: Case, try_candidate) -> Case | None:
 
     if query.where is not None:
         candidates.append(("where", None))
+        if "and" in query.where:  # keep one conjunct or the other
+            first = {k: v for k, v in query.where.items() if k != "and"}
+            candidates.append(("where", first))
+            candidates.append(("where", query.where["and"]))
     if query.distinct:
         candidates.append(("distinct", False))
     if query.order_cols:

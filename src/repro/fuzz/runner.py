@@ -55,6 +55,8 @@ class CampaignReport:
     bugs: list = field(default_factory=list)
     reduced_steps: int = 0
     elapsed_s: float = 0.0
+    #: Cases per composite WHERE shape (see ``QuerySpec.where_shapes``).
+    shapes: dict = field(default_factory=lambda: {"dac": 0, "and": 0})
 
     @property
     def clean(self) -> bool:
@@ -64,7 +66,8 @@ class CampaignReport:
         return (
             f"fuzz: {self.cases_run}/{self.runs_requested} cases, "
             f"{self.queries_run} queries, {len(self.bugs)} discrepancie(s), "
-            f"{self.reduced_steps} reduction step(s) "
+            f"{self.reduced_steps} reduction step(s), "
+            f"where: dac {self.shapes['dac']}, and {self.shapes['and']} "
             f"(seed {self.seed}, profile {self.profile}, {self.elapsed_s:.2f}s)"
         )
 
@@ -110,6 +113,8 @@ class FuzzCampaign:
             case = generator.case(index)
             self._m_cases.inc()
             report.cases_run += 1
+            for shape in case.query.where_shapes():
+                report.shapes[shape] += 1
             tally: dict = {}
             for oracle_name, oracle in ORACLES.items():
                 found = oracle(case, tally=tally)

@@ -72,6 +72,21 @@ class TestGeneratedCasesExecute:
         modes = {comparison_mode(case) for case in cases}
         assert modes == {"ordered", "multiset", "subset"}
 
+    def test_composite_where_shapes_occur(self, cases):
+        # The DAC shape reaches the anchor's coded tag and a left-outer-
+        # joined augmenter column; a second conjunct rides along with AND.
+        dac_cols = set()
+        for case in cases:
+            where = case.query.where or {}
+            for pred in (where, where.get("and")):
+                if pred and pred["op"] == "= or is null":
+                    dac_cols.add(pred["col"])
+                    assert f"({pred['col']} = '" in case.sql()
+                    assert f"or {pred['col']} is null)" in case.sql()
+        shapes = set().union(*(case.query.where_shapes() for case in cases))
+        assert shapes == {"dac", "and"}
+        assert "tag" in dac_cols and dac_cols & {"d_tag", "ext_tag"}
+
     def test_generation_is_deterministic(self):
         a = WorkloadGenerator(seed=GENERATOR_SEED)
         b = WorkloadGenerator(seed=GENERATOR_SEED)
@@ -157,6 +172,22 @@ class TestOraclesHaveTeeth:
             assert total_rows <= sum(len(t.rows) for t in case.tables)
             return
         pytest.fail("broken UAJ rule survived 300 differential runs")
+
+    def test_reducer_tries_each_conjunct_alone(self):
+        from repro.fuzz.reducer import _shrink_query
+
+        case = WorkloadGenerator(seed=GENERATOR_SEED).case(0)
+        first = {"col": "grp", "op": "<", "value": 3}
+        second = {"col": "tag", "op": "= or is null", "value": "t1"}
+        case.query.where = dict(first, **{"and": second})
+        tried = []
+
+        def reject(candidate):
+            tried.append(candidate.query.where)
+            return False
+
+        _shrink_query(case, reject)
+        assert tried[:3] == [None, first, second]
 
     def test_reducer_validates_oracle_name(self):
         case = WorkloadGenerator(seed=GENERATOR_SEED).case(0)

@@ -120,6 +120,20 @@ def test_error_mapping(gateway):
     assert body["type"] == "QueryTimeoutError"
 
 
+def test_incomparable_comparison_is_a_400(gateway):
+    # INTEGER < VARCHAR is the client's mistake: 400, and the breaker is
+    # not charged, so past its threshold of 5 the next statement still runs.
+    for _ in range(6):
+        status, body, _ = _post(gateway.url, "/v1/query",
+                                {"sql": "select count(*) from t where v < 'x'"})
+        assert status == 400 and body["ok"] is False
+        assert body["type"] == "TypeCheckError"
+        assert "INTEGER" in body["error"] and "VARCHAR" in body["error"]
+    status, body, _ = _post(gateway.url, "/v1/query",
+                            {"sql": "select count(*) from t"})
+    assert status == 200 and body["rows"] == [[3]]
+
+
 def test_non_numeric_timeout_is_a_400(gateway):
     for bad in ("abc", [1], {"s": 1}):
         status, body, _ = _post(gateway.url, "/v1/query",

@@ -16,6 +16,7 @@ import decimal
 import pytest
 
 from repro.database import Database
+from repro.errors import TypeCheckError
 from repro.storage.column import ColumnFragments, MainFragment
 from repro.vectors import (
     DictVector,
@@ -30,9 +31,7 @@ from repro.vectors import (
 D = decimal.Decimal
 
 
-@pytest.fixture()
-def db():
-    database = Database(wal_enabled=False)
+def load_items(database: Database) -> Database:
     database.execute(
         "create table items (id int primary key, grp varchar, qty int, price double)"
     )
@@ -41,6 +40,12 @@ def db():
         qty = None if i % 11 == 0 else i % 50
         rows.append((i, f"g{i % 7}", qty, i * 0.25))
     database.bulk_load("items", rows)
+    return database
+
+
+@pytest.fixture()
+def db():
+    database = load_items(Database(wal_enabled=False))
     yield database
     database.close()
 
@@ -171,6 +176,14 @@ class TestKernelNulls:
         "select id, qty + 10 from items where id < 30",
         "select id, qty * 2 from items where id < 30",
         "select id from items where grp = 'g3' and qty > 10",
+        # OR unions, AND narrows; a leaf without a kernel declines the whole
+        # predicate, even when the first selection is already empty.
+        "select id from items where qty = 5 or qty is null",
+        "select id from items where grp = 'g9' or qty is null",
+        "select id from items where qty = 5 or grp like 'g1%'",
+        "select id from items where (grp = 'g3' or qty is null) and qty > 10",
+        "select id from items where grp = 'g3' and (qty < 3 or qty > 47)",
+        "select id from items where qty = 1000 and grp like 'g%'",
         "select grp, count(qty), sum(qty) from items group by grp",
         "select qty, count(*) from items group by qty",
         "select id, qty from items order by qty limit 7",
@@ -179,15 +192,7 @@ class TestKernelNulls:
 
     @pytest.mark.parametrize("sql", SQLS)
     def test_null_codes_match_scalar_path(self, db, sql):
-        scalar = Database(wal_enabled=False, vectorized=False)
-        scalar.execute(
-            "create table items (id int primary key, grp varchar, qty int, price double)"
-        )
-        rows = []
-        for i in range(500):
-            qty = None if i % 11 == 0 else i % 50
-            rows.append((i, f"g{i % 7}", qty, i * 0.25))
-        scalar.bulk_load("items", rows)
+        scalar = load_items(Database(wal_enabled=False, vectorized=False))
         try:
             assert sorted(db.query(sql).rows, key=repr) == sorted(
                 scalar.query(sql).rows, key=repr
@@ -195,10 +200,57 @@ class TestKernelNulls:
         finally:
             scalar.close()
 
+    def test_dac_filter_above_left_outer_join_matches_scalar_path(self, db):
+        # The DAC shape over a nullable, coded augmenter column: unmatched
+        # rows pad code -1, and the second OR runs on the first one's
+        # survivors, a chunk that already carries a pending selection.
+        sql = (
+            "select i.id from items i left outer join auth a on i.grp = a.grp "
+            "where (a.authgroup = 'G1' or a.authgroup is null) "
+            "and (a.region = 'EU' or a.region is null)"
+        )
+        scalar = load_items(Database(wal_enabled=False, vectorized=False))
+        try:
+            for d in (db, scalar):
+                d.execute("create table auth (grp varchar primary key, "
+                          "authgroup varchar, region varchar)")
+                d.bulk_load("auth", [
+                    ("g0", "G1", "EU"), ("g1", "G2", "EU"), ("g2", None, None),
+                    ("g3", "G1", "US"), ("g4", "G1", None),
+                ])
+            before = db.metrics.counter("exec.kernel_calls").value
+            rows = sorted(db.query(sql).rows)
+            assert db.metrics.counter("exec.kernel_calls").value > before
+            assert rows == sorted(scalar.query(sql).rows)
+            # g0, g2, g4 pass; g5 and g6 have no auth row at all.
+            assert {i % 7 for (i,) in rows} == {0, 2, 4, 5, 6}
+        finally:
+            scalar.close()
+
     def test_comparison_with_null_constant_is_empty(self, db):
         # col <op> NULL is never TRUE; the kernel short-circuits to empty.
         assert db.query("select id from items where qty = null").rows == []
         assert db.query("select id from items where qty < null").rows == []
+
+
+class TestIncomparableComparison:
+    """INTEGER against VARCHAR is the query's fault on both arms: the kernel
+    declines and the row path raises TypeCheckError, not a raw TypeError."""
+
+    @pytest.mark.parametrize("vectorized", [True, False])
+    @pytest.mark.parametrize("sql", [
+        "select count(*) from items where qty < 'x'",
+        "select id from items where grp >= 3",
+        "select id from items where grp = 'g1' or qty < 'x'",
+    ])
+    def test_raises_type_check_error_naming_both_types(self, sql, vectorized):
+        d = load_items(Database(wal_enabled=False, vectorized=vectorized))
+        try:
+            with pytest.raises(TypeCheckError) as raised:
+                d.query(sql)
+            assert "INTEGER" in str(raised.value) and "VARCHAR" in str(raised.value)
+        finally:
+            d.close()
 
 
 class TestZeroColumnChunks:
@@ -786,6 +838,33 @@ class TestKernelAccounting:
         report = doctor_report(db)
         assert "kernel-heaviest operators" in report
         assert "Filter" in report
+
+    def test_dac_statement_never_enters_the_row_or(self, db, monkeypatch):
+        from repro.engine import eval as engine_eval
+
+        calls = []
+        row_or = engine_eval._HANDLERS["OR"]
+
+        def counting_or(expr, chunk):
+            calls.append(chunk.row_count)
+            return row_or(expr, chunk)
+
+        monkeypatch.setitem(engine_eval._HANDLERS, "OR", counting_or)
+        sql = "select count(*) from items where grp = 'g1' or grp is null"
+        assert db.query(sql).scalar() == len([i for i in range(500) if i % 7 == 1])
+        assert calls == []
+        # The row path does take the patched handler (the counter is live).
+        db.query("select count(*) from items where grp = 'g1' or grp like 'x%'")
+        assert calls
+
+    def test_and_narrows_its_second_child_to_the_survivors(self, db):
+        # Each repeated conjunct compares the one surviving row, not all 500.
+        before = db.metrics.counter("exec.dict_compares").value
+        rows = db.query(
+            "select id from items where id = 7 and qty >= 0 and qty >= 0"
+        ).rows
+        assert rows == [(7,)]
+        assert db.metrics.counter("exec.dict_compares").value - before <= 500 + 2
 
     def test_scalar_database_never_counts_kernels(self):
         scalar = Database(wal_enabled=False, vectorized=False)
