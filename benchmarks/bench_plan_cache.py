@@ -71,7 +71,7 @@ def _run_point(db: Database, rounds: int) -> float:
 
 
 def test_plan_cache_hot_point_query(cached_db, benchmark):
-    _run_point(cached_db, 3)  # warm: promote on second execution
+    _run_point(cached_db, 3)  # warm: the second execution stores the shape
     benchmark(lambda: _run_point(cached_db, 20))
 
 
@@ -125,10 +125,10 @@ def test_plan_cache_speedup_report(benchmark):
         f"hit rate       : {hit_rate*100:8.1f}%  "
         f"(hits={cache.hits} misses={cache.misses})\n\n"
         "Expected shape: the first execution runs the normal pipeline, the\n"
-        "second promotes the shape (normal pipeline + generic-plan\n"
-        "optimization), and every later execution probes the cache, reuses\n"
-        "the compiled physical tree, and skips parse, bind, view\n"
-        "expansion, and every optimizer pass entirely.",
+        "second plans the generic (parameterized) statement instead,\n"
+        "stores it and runs it, and every later execution probes the\n"
+        "cache, reuses the compiled physical tree, and skips parse,\n"
+        "bind, view expansion, and every optimizer pass entirely.",
     )
     assert hit_rate >= 0.99, f"hit rate {hit_rate:.3f} < 0.99"
     assert speedup >= 5, f"speedup {speedup:.1f}x < 5x"

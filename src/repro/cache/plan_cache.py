@@ -12,20 +12,23 @@ pass.
 Correctness model
 -----------------
 
-A shape is promoted on its **second** execution (the first runs the fully
-normal path, so a once-only statement pays nothing and behaves exactly as
-before).  At promotion the statement is re-parsed with slot-tagged
-literals and re-bound with ``parameterize=True`` so statement literals
-become opaque :class:`repro.algebra.expr.Param` nodes; the optimizer then
-produces a *generic* plan.  Because every value-dependent rewrite in the
-optimizer guards on :class:`Const`, the generic plan is valid for any
-parameter values of the same types — but it may be *weaker* (e.g. the
-ASJ-subsumption check of Fig. 10c needs literal equality).  The
-promotion therefore compares the rewrite tally of the generic
-optimization against the value-bound one and refuses to cache (negative
-cache) whenever they differ, whenever the parameterized bind fails
-(binder structural matching is textual), or whenever the plan contains a
-scalar subquery.
+A statement is planned **once**.  The first sighting of a shape runs the
+fully normal value-bound path (a once-only statement pays nothing) and
+leaves its rewrite tally in the shape map.  Later misses plan the
+*generic* statement instead: slot-tagged literals bound with
+``parameterize=True`` become opaque :class:`repro.algebra.expr.Param`
+nodes.  Because every value-dependent rewrite in the optimizer guards on
+:class:`Const`, the generic plan is valid for any parameter values of the
+same types — but it may be *weaker* (e.g. the ASJ-subsumption check of
+Fig. 10c needs literal equality).  So the second sighting stores and
+executes the generic plan (substituted like a hit) only when its rewrite
+tally equals the first sighting's, optimized over other literals.  A
+mismatch, a failed parameterized bind (binder structural matching is
+textual) or a scalar subquery marks the shape uncacheable (negative
+cache), and that statement plans value-bound too — the one statement of
+a shape that pays two passes.  A learned shape's later misses (a new
+fixed-value combination, an evicted or invalidated entry) plan the
+generic statement only.
 
 Slots that survive as ``Param`` in the generic plan are *free* — any
 value may be substituted at hit time.  All other literal slots are
@@ -54,8 +57,8 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
-from ..algebra.expr import Param, ScalarSubquery, walk
-from ..algebra.ops import LogicalOp, Scan
+from ..algebra.expr import Const, Param, ScalarSubquery, rewrite_expr, walk
+from ..algebra.ops import LogicalOp, Scan, rewrite_op_exprs
 from ..datatypes import DataType
 
 #: Sentinel stored in the shape map for shapes that must never be cached
@@ -96,6 +99,21 @@ class CachedPlan:
     physical: object | None = None
     approx_bytes: int = 0
 
+    def bind(self, values: list) -> LogicalOp:
+        """The generic plan with a Const of ``values`` in each free slot."""
+        if not self.free_slots:
+            return self.generic_plan
+        consts = {
+            slot: Const(values[slot], self.param_types[slot])
+            for slot in self.free_slots
+        }
+
+        def replace(node):
+            return consts[node.slot] if isinstance(node, Param) else None
+
+        return rewrite_op_exprs(
+            self.generic_plan, lambda e: rewrite_expr(e, replace))
+
 
 class PlanCache:
     """Bounded LRU of :class:`CachedPlan` entries.
@@ -112,10 +130,10 @@ class PlanCache:
         self._lock = threading.Lock()
         #: (shape_key, fixed_values) -> CachedPlan, LRU order.
         self._entries: "OrderedDict[tuple, CachedPlan]" = OrderedDict()
-        #: shape_key -> seen-count (int), UNCACHEABLE, or the learned
-        #: fixed-slot tuple (promotion succeeded at least once).  Bounded
-        #: at a multiple of capacity so an endless stream of distinct
-        #: shapes cannot grow it without bound.
+        #: shape_key -> the first sighting's rewrite tally (dict),
+        #: UNCACHEABLE, or the learned fixed-slot tuple (a generic plan was
+        #: stored at least once).  Bounded at a multiple of capacity so an
+        #: endless stream of distinct shapes cannot grow it without bound.
         self._shapes: "OrderedDict[tuple, object]" = OrderedDict()
         self._shape_capacity = max(64, 8 * self.capacity)
         if metrics is not None:
@@ -196,31 +214,22 @@ class PlanCache:
                 return None
             return entry
 
-    # -- promotion tracking ----------------------------------------------
+    # -- sightings -------------------------------------------------------
 
-    def should_promote(self, shape_key: tuple) -> bool:
-        """Record one normal-path execution; True = promote this one now.
-
-        The first execution of a shape returns False (run normally, pay
-        nothing).  The second returns True; so does any later miss of a
-        shape whose split is already learned (a new fixed-value
-        combination, or an evicted/invalidated entry).  Uncacheable
-        shapes always return False.
-        """
+    def sighting(self, shape_key: tuple):
+        """What the shape map knows of a shape that just missed: None (never
+        seen), the first sighting's rewrite tally, its learned fixed-slot
+        tuple, or UNCACHEABLE."""
         with self._lock:
-            state = self._shapes.get(shape_key)
-            if state is UNCACHEABLE:
-                return False
-            if isinstance(state, tuple):
-                return True
-            if state is None:
-                self._shapes[shape_key] = 1
-                self._shapes.move_to_end(shape_key)
+            return self._shapes.get(shape_key)
+
+    def record_first_sighting(self, shape_key: tuple, fires: dict) -> None:
+        """Keep a first sighting's value-bound rewrite tally — the reference
+        the shape's generic plan must match on its second sighting."""
+        with self._lock:
+            if shape_key not in self._shapes:
+                self._shapes[shape_key] = dict(fires)
                 self._trim_shapes()
-                return False
-            self._shapes[shape_key] = int(state) + 1  # type: ignore[arg-type]
-            self._shapes.move_to_end(shape_key)
-            return True
 
     def mark_uncacheable(self, shape_key: tuple) -> None:
         with self._lock:
@@ -298,7 +307,7 @@ class PlanCache:
 
 
 # ---------------------------------------------------------------------------
-# plan analysis helpers (used by Database during promotion)
+# plan analysis helpers (used by Database when it plans a generic statement)
 # ---------------------------------------------------------------------------
 
 

@@ -26,8 +26,7 @@ from typing import Callable, Iterable, Sequence
 
 from .algebra import Binder, explain as explain_plan, plan_stats, summarize_plan
 from .algebra.binder import RelationBinding, Scope
-from .algebra.expr import Const, Param, rewrite_expr
-from .algebra.ops import LogicalOp, Scan, rewrite_op_exprs
+from .algebra.ops import LogicalOp, Scan
 from .catalog import Catalog
 from .datatypes import type_of_literal
 from .catalog.schema import (
@@ -173,9 +172,10 @@ class Database:
     entries; 0 disables it).  Repeated statement *shapes* — the same SQL
     with different literals — skip parse, bind, and the whole optimizer
     from their third execution on: the cached generic plan is re-bound
-    with the new literal values.  Promotion is conservative (a shape is
-    cached only when the parameter-generic optimization provably fires
-    the same rewrites as the value-bound one), and entries self-invalidate
+    with the new literal values.  Each statement is planned once: the
+    second execution plans the generic statement instead of the
+    value-bound one, and caches it only when it fires the same rewrites
+    as the first execution's value-bound plan.  Entries self-invalidate
     on DDL, view deploys/drops, profile changes, and row-count shifts big
     enough to change plan choice.  ``sys.plan_cache`` and the
     ``plan_cache.*`` metrics expose its state.
@@ -396,8 +396,9 @@ class Database:
                                     shape_key, values, self._plan_cache_env(),
                                     self._plan_cache_stats_sig,
                                 )
-                            if entry is None:
-                                statement = parse_statement(stmt.sql, tokens=tokens)
+                            if entry is None:  # slot-tagged: serves either bind
+                                statement = parse_statement(
+                                    stmt.sql, tokens, parameterize=cache is not None)
                 finally:
                     stmt.parse_s = time.perf_counter() - stmt.start
                     if stmt.is_query or isinstance(statement, ast.Query):
@@ -410,15 +411,12 @@ class Database:
                 elif entry is None and not isinstance(statement, ast.Query):
                     raise ExecutionError("query() expects a SELECT statement")
                 else:
-                    outcome = self._execute_query(stmt, statement, entry, values)
+                    outcome = self._execute_query(
+                        stmt, statement, entry, values, shape_key)
         except BaseException as exc:
             self._finish(stmt, None, exc)
             raise
         self._finish(stmt, outcome, None)
-        # Promotion is cache upkeep for later statements, not part of this
-        # one: it runs after the statement's telemetry is written.
-        if shape_key is not None and entry is None and cache.should_promote(shape_key):
-            self._promote_shape(shape_key, stmt.sql, tokens, values, stmt.rewrite_fires)
         return outcome
 
     def _route(self, statement, txn: Transaction | None, sql: str):
@@ -436,9 +434,10 @@ class Database:
             return self._with_txn(txn, lambda t: self._delete(statement, t))
         raise ExecutionError(f"unsupported statement {type(statement).__name__}")
 
-    def _execute_query(self, stmt: _Statement, query, entry, values) -> QueryResult:
-        """Plan one query from its source — cold, or the probed plan-cache
-        ``entry`` — and execute it under one snapshot."""
+    def _execute_query(self, stmt: _Statement, query, entry, values, shape_key):
+        """Plan one query from its source — cold, the probed plan-cache
+        ``entry``, or a miss of ``shape_key`` — and execute it under one
+        snapshot."""
         tracer = self.spans
         deadline = stmt.deadline
         if deadline is not None and time.monotonic() > deadline:
@@ -448,7 +447,9 @@ class Database:
             raise QueryTimeoutError(
                 "statement deadline exceeded before execution began"
             )
-        if entry is None:
+        if shape_key is not None and entry is None:
+            plan, physical = self._plan_miss(stmt, query, shape_key, values)
+        elif entry is None:
             plan, physical = self._plan_cold(stmt, query), None
         else:
             # A hit skips parse, bind, and every optimizer pass; what they
@@ -597,9 +598,12 @@ class Database:
 
     # -- plan sources ---------------------------------------------------------
 
-    def _plan_cold(self, stmt: _Statement, query: "str | ast.Query") -> LogicalOp:
+    def _plan_cold(
+        self, stmt: _Statement, query: "str | ast.Query", parameterize=False,
+    ) -> LogicalOp:
         """The cold plan source: bind and (unless ``optimize=False``) run
         the rewrite pipeline, recording rewrite provenance.
+        ``parameterize=True`` binds a slot-tagged query's literals as Params.
 
         The optimizer always runs under at least a counting
         :class:`RewriteTally` (absorbed into :attr:`metrics`); under
@@ -610,7 +614,8 @@ class Database:
         tracer = self.spans
         started = time.perf_counter()
         with tracer.span("bind"):
-            plan = self.bind(query)
+            plan = (Binder(self.catalog, parameterize=True).bind_query(query)
+                    if parameterize else self.bind(query))
         stmt.bind_s = time.perf_counter() - started
         stmt.operators_before = stmt.operators_after = sum(1 for _ in plan.walk())
         if not stmt.optimize:
@@ -649,19 +654,7 @@ class Database:
         from the new values by the physical planner)."""
         if entry.physical is not None and entry.last_values == tuple(values):
             return entry.generic_plan, entry.physical
-        plan = entry.generic_plan
-        if entry.free_slots:
-            consts = {
-                slot: Const(values[slot], entry.param_types[slot])
-                for slot in entry.free_slots
-            }
-
-            def replace(node):
-                if isinstance(node, Param):
-                    return consts[node.slot]
-                return None
-
-            plan = rewrite_op_exprs(plan, lambda e: rewrite_expr(e, replace))
+        plan = entry.bind(values)
         physical = self._executor.compile(plan)
         self.plan_cache.remember_compiled(entry, values, physical)
         return plan, physical
@@ -691,25 +684,17 @@ class Database:
                 sig.append(-1)
         return tuple(sig)
 
-    def _promote_shape(
-        self, shape_key: tuple, sql: str, tokens, values: list,
-        expected_fires: dict,
-    ) -> None:
-        """Build and store the generic plan for a shape seen twice.
-
-        The value-bound execution that just finished is the reference:
-        the generic (Param-bound) optimization must fire *exactly* the
-        same rewrites (``expected_fires``), or some value-dependent
-        rewrite (constant folding, conjunct dedup, Fig. 10c ASJ
-        subsumption ...) fired on literal values and a generic plan would
-        be weaker or wrong for other values — such shapes are negatively
-        cached as uncacheable.  Bind failures under parameterization (the
-        binder's structural matching is textual, and ``$n`` slots break
-        it for duplicated literals) and scalar subqueries (resolved
-        per-execution) are uncacheable for the same reason: correctness
-        never depends on caching.
-        """
+    def _plan_miss(self, stmt: _Statement, query, shape_key: tuple, values):
+        """The plan source of a plan-cache miss: one pass, chosen by the
+        shape map (see :mod:`repro.cache.plan_cache`).  A first sighting
+        plans value-bound and keeps its rewrite fires; a second sighting
+        or a learned shape plans the generic statement, stores it and runs
+        it.  A refused generic plan — fires unlike the first sighting's, a
+        failed parameterized bind (``$n`` slots break the binder's textual
+        matching of duplicated literals), a scalar subquery — marks the
+        shape uncacheable once the value-bound plan after it succeeds."""
         from .cache.plan_cache import (
+            UNCACHEABLE,
             CachedPlan,
             plan_base_tables,
             plan_has_scalar_subquery,
@@ -717,37 +702,43 @@ class Database:
         )
 
         cache = self.plan_cache
-        env = self._plan_cache_env()  # before bind: later DDL must mismatch
-        try:
-            statement = parse_statement(sql, tokens=tokens, parameterize=True)
-            plan = Binder(self.catalog, parameterize=True).bind_query(statement)
-            operators_before = sum(1 for _ in plan.walk())
-            tally = RewriteTally()
-            generic = optimize_plan(plan, self._profile_name, self, trace=tally)
-        except Exception:
+        state = cache.sighting(shape_key)
+        if state is not None and state is not UNCACHEABLE:
+            env = self._plan_cache_env()  # before bind: later DDL must mismatch
+            try:
+                generic = self._plan_cold(stmt, query, parameterize=True)
+            except Exception:
+                generic = None
+            fires = stmt.rewrite_fires
+            if generic is not None and not plan_has_scalar_subquery(generic) \
+                    and (isinstance(state, tuple) or state == fires):
+                free = plan_param_slots(generic)
+                tables = plan_base_tables(generic)
+                entry = CachedPlan(
+                    shape=shape_key[0],
+                    param_types=shape_key[1],
+                    generic_plan=generic,
+                    free_slots=free,
+                    fixed_values=tuple(
+                        (slot, values[slot])
+                        for slot in range(len(values)) if slot not in free
+                    ),
+                    fingerprint=(env, self._plan_cache_stats_sig(tables)),
+                    tables=tables,
+                    operators_before=stmt.operators_before,
+                    operators_after=stmt.operators_after,
+                    rewrite_fires=fires,
+                )
+                cache.store(shape_key, entry)
+                # The executor compiles it; the entry keeps no tree until a
+                # hit, as most entries stored on a miss are evicted unhit.
+                return entry.bind(values), None
+        plan = self._plan_cold(stmt, query)
+        if state is None:
+            cache.record_first_sighting(shape_key, stmt.rewrite_fires)
+        elif state is not UNCACHEABLE:
             cache.mark_uncacheable(shape_key)
-            return
-        fires = tally.rewrite_counts
-        if fires != expected_fires or plan_has_scalar_subquery(generic):
-            cache.mark_uncacheable(shape_key)
-            return
-        free = plan_param_slots(generic)
-        tables = plan_base_tables(generic)
-        cache.store(shape_key, CachedPlan(
-            shape=shape_key[0],
-            param_types=shape_key[1],
-            generic_plan=generic,
-            free_slots=free,
-            fixed_values=tuple(
-                (slot, values[slot])
-                for slot in range(len(values)) if slot not in free
-            ),
-            fingerprint=(env, self._plan_cache_stats_sig(tables)),
-            tables=tables,
-            operators_before=operators_before,
-            operators_after=sum(1 for _ in generic.walk()),
-            rewrite_fires=fires,
-        ))
+        return plan, None
 
     def _plan_cache_peek(self, sql: str):
         """The live cache entry this statement would hit, or None — no LRU

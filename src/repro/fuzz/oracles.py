@@ -347,9 +347,12 @@ def run_plan_cache_differential(
     case: Case, tally: dict | None = None
 ) -> Discrepancy | None:
     """A plan served from the plan cache must be indistinguishable from a
-    fresh compile.  One arm keeps a plan cache (so the same statement runs
-    as miss, then promotion, then hit), the other compiles every time
-    (``plan_cache_size=0``); every round must agree.  Then the cache's
+    fresh compile.  One arm keeps a plan cache, the other compiles every
+    time (``plan_cache_size=0``); every round must agree.  The cached arm
+    runs the same statement as a first-sighting miss (value-bound plan),
+    then a second sighting (the generic plan over Params, substituted and
+    executed — or, for an uncacheable shape, the value-bound plan again),
+    then a hit (the stored generic plan's compiled tree).  Then the cache's
     *invalidation* precision is exercised: a view deploy, a view drop, and
     an optimizer-profile change — each applied to both arms — must leave
     the cached arm serving correct (re-validated or re-compiled) plans."""
@@ -368,7 +371,7 @@ def run_plan_cache_differential(
             f"fresh[{label}]", fresh_result, fresh_err, compare_as,
         )
 
-    for label in ("miss", "promote", "hit"):
+    for label in ("miss", "generic", "hit"):
         found = compare(label)
         if found is not None:
             return found

@@ -294,8 +294,9 @@ def _replay_plan_cache_diff(
 
         def sweep(label: str) -> None:
             for sql in payload.get("queries", ()):
-                _run(cached, sql, tally)  # miss / promotion run
-                cached_result, cached_err = _run(cached, sql, tally)  # hit
+                _run(cached, sql, tally)  # value-bound, generic, or a hit
+                # the generic plan, or a hit
+                cached_result, cached_err = _run(cached, sql, tally)
                 fresh_result, fresh_err = _run(fresh, sql, tally)
                 diff = _compare_arms(
                     "plan-cache-diff", f"cached[{label}]",

@@ -15,6 +15,9 @@ Safety rules implemented:
 - through Sort / Distinct: order/duplicates are unaffected by filtering first;
 - through Aggregate: only conjuncts over grouping keys;
 - never through Limit (it would change which rows are counted).
+
+Merging a Filter into the pending conjuncts drops structurally equal
+duplicates.
 """
 
 from __future__ import annotations
@@ -44,7 +47,14 @@ def _push(op: LogicalOp, pending: list[Expr], trace) -> LogicalOp:
     from ...algebra.expr import conjuncts
 
     if isinstance(op, Filter):
-        return _push(op.child, pending + conjuncts(op.predicate), trace)
+        # Stacked view filters repeat conjuncts; a structurally equal copy
+        # adds nothing (no volatile functions), so merging drops it.  Not a
+        # rewrite fire: the plan cache compares fires across literal sets.
+        merged = list(pending)
+        for conjunct in conjuncts(op.predicate):
+            if conjunct not in merged:
+                merged.append(conjunct)
+        return _push(op.child, merged, trace)
 
     if isinstance(op, Project):
         mapping = {col.cid: expr for col, expr in op.items}

@@ -1,10 +1,12 @@
 """Drive the SQL battery: every statement twice, shapes asserted.
 
 One module-scoped database serves all 300+ statements.  Each statement
-runs twice so the second execution takes the plan-cache hit path (the
-shape was promoted after the first pair of runs of any repeated shape),
-and the two runs must agree on columns and rows — a built-in
-cached-vs-fresh differential across the whole battery.
+runs twice.  For a new shape the first run plans value-bound and the
+second plans and executes the shape's generic plan (Params substituted
+back), so every cacheable statement's generic plan runs here; a shape
+seen before runs generic or cached first and hits second.  The two runs
+must agree on columns and rows — a built-in value-bound-vs-generic
+differential across the whole battery.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ def test_battery_statement(battery_db: Database, case: Case):
         return
 
     first = battery_db.query(case.sql)
-    second = battery_db.query(case.sql)  # plan-cache hit path
+    second = battery_db.query(case.sql)  # generic plan, or a hit
 
     if case.columns is not None:
         assert tuple(first.column_names) == case.columns

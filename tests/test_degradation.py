@@ -77,6 +77,30 @@ class TestTimeout:
             db.query("select id from t", timeout=-1.0)  # already expired
         assert db.metrics.counter("query.timeouts").value == 1
 
+    def test_expired_deadline_comes_before_planning_a_learned_shape(
+            self, monkeypatch):
+        # A learned shape's miss plans its generic statement; an expired
+        # deadline must still fail the statement before any planning.
+        import repro.database as database_module
+
+        db = Database(wal_enabled=False, plan_cache_size=1)
+        db.execute("create table t (id int primary key, v int)")
+        db.execute("insert into t values (1, 10), (2, 20), (3, 30)")
+        for sql in ("select v from t where id = 1", "select v from t where id = 2",
+                    "select id from t where v = 10", "select id from t where v = 20"):
+            db.query(sql)  # the second shape evicts the learned first one
+        calls = []
+        real = database_module.optimize_plan
+        monkeypatch.setattr(
+            database_module, "optimize_plan",
+            lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs),
+        )
+        with pytest.raises(QueryTimeoutError):
+            db.query("select v from t where id = 3", timeout=-1.0)
+        assert calls == []
+        assert db.query("select v from t where id = 3").rows == [(30,)]
+        assert calls == [1]
+
     def test_generous_deadline_passes(self):
         db = demo_db()
         result = db.query("select count(*) from t", timeout=60.0)

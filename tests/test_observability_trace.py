@@ -28,7 +28,7 @@ def traced(db: Database, sql: str, profile: str = "hana",
 
     The fixture database is shared, so by its third run a shape is a
     plan-cache hit, whose trace carries the rewrite-fire counts but no
-    events; ``cold=True`` forgets promoted shapes first, for the tests that
+    events; ``cold=True`` forgets cached shapes first, for the tests that
     inspect the optimizer's pass/rewrite events."""
     if cold:
         db.plan_cache.clear()

@@ -182,3 +182,58 @@ class TestFilterPushdown:
         a = db.query(sql).rows
         b = db.query(sql, optimize=False).rows
         assert sorted(a) == sorted(b)
+
+
+class TestStackedFilterDedup:
+    """Each level of a view stack repeats its filter; merging the stacked
+    filters keeps one copy of each conjunct."""
+
+    DEPTH = 8
+
+    @pytest.fixture
+    def stack_db(self):
+        database = Database(wal_enabled=False)
+        database.execute("create table items (id int primary key, qty int, grp int)")
+        database.bulk_load("items", [(i, i * 3, i % 5) for i in range(300)])
+        database.execute("create table groups_ (gkey int primary key, gname varchar(9))")
+        database.bulk_load("groups_", [(i, f"g{i}") for i in range(5)])
+        database.execute("create view sv0 as select id, qty, grp from items")
+        for i in range(1, self.DEPTH):
+            database.execute(f"create view sv{i} as select id, qty, grp "
+                             f"from sv{i - 1} where qty >= 0")
+        database.execute(
+            f"create view stack_top as select v.id, v.qty, d.gname "
+            f"from sv{self.DEPTH - 1} v left outer join groups_ d on v.grp = d.gkey"
+        )
+        return database
+
+    def test_explain_shows_one_copy(self, stack_db):
+        text = stack_db.explain("select id, qty, gname from stack_top where id = 5")
+        assert text.count("qty") == 1 and text.count(">= 0") == 1
+        assert stack_db.query(
+            "select id, qty, gname from stack_top where id = 5"
+        ).rows == [(5, 15, "g0")]
+
+    def test_dedup_is_no_rewrite_fire_and_keeps_the_hit_rate(self, stack_db):
+        cache = stack_db.plan_cache
+        for key in range(200):
+            rows = stack_db.query(
+                f"select id, qty, gname from stack_top where id = {key}").rows
+            assert rows == [(key, key * 3, f"g{key % 5}")]
+        assert cache.uncacheable == 0 and cache.hit_rate >= 0.99
+        # The user's `qty >= 0` dedups against the views' copies in the
+        # value-bound first sighting but stays a Param conjunct in the
+        # generic plan; were dropping it a fire, the shape would be refused.
+        sql = "select id, gname from stack_top where qty >= {} and id = {}"
+        for zero, key in ((0, 4), (0, 7), (0, 9)):
+            assert stack_db.query(sql.format(zero, key)).rows == [(key, f"g{key % 5}")]
+        assert cache.uncacheable == 0 and len(cache) == 2
+
+    def test_user_duplicates_collapse_and_stay_cacheable(self, stack_db):
+        sql = "select id from items where id = {0} and qty >= 0 and id = {0}"
+        [conjuncts] = [str(f.predicate)
+                       for f in nodes(stack_db, sql.format(4), Filter)]
+        assert conjuncts.count("id") == 1
+        for key in (4, 7, 9):
+            assert stack_db.query(sql.format(key)).rows == [(key,)]
+        assert stack_db.plan_cache.uncacheable == 0

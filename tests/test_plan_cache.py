@@ -1,19 +1,23 @@
 """Plan cache unit and integration tests (+ normalize_sql regressions).
 
-Covers the PlanCache data structure (promotion protocol, two-level
+Covers the PlanCache data structure (first-sighting record, two-level
 keying, LRU bounds, fingerprint invalidation), the Database wiring
 (hit-path results, DDL / profile / stats invalidation, the execute()
 SELECT gate, EXPLAIN's ``(cached)`` annotation, observability surfaces),
-and the normalize_sql fallback fix this PR ships alongside.
+the plan-once protocol (counted ``optimize_plan`` calls per sighting, the
+uncacheable and fixed-slot paths, generic-miss telemetry), and the
+normalize_sql fallback.
 """
 
 from __future__ import annotations
+
+import time
 
 import pytest
 
 from repro import Database
 from repro.algebra.expr import Param
-from repro.cache.plan_cache import PlanCache
+from repro.cache.plan_cache import UNCACHEABLE, PlanCache
 from repro.datatypes import INTEGER
 from repro.sql.normalize import extract_shape, normalize_sql, shape_hash
 from repro.sql.parser import parse_statement
@@ -112,11 +116,15 @@ def _stats(_tables):
 
 
 class TestPlanCacheStructure:
-    def test_promote_on_second_use(self):
+    def test_first_sighting_keeps_its_rewrite_fires(self):
         cache = PlanCache(4)
         key = ("SHAPE", (INTEGER,))
-        assert cache.should_promote(key) is False  # first sighting
-        assert cache.should_promote(key) is True   # second: promote now
+        assert cache.sighting(key) is None  # never seen
+        cache.record_first_sighting(key, {"AJ 1a": 2})
+        assert cache.sighting(key) == {"AJ 1a": 2}
+        # a later record never overwrites the first sighting's tally
+        cache.record_first_sighting(key, {})
+        assert cache.sighting(key) == {"AJ 1a": 2}
 
     def test_probe_miss_then_hit(self):
         cache = PlanCache(4)
@@ -128,11 +136,14 @@ class TestPlanCacheStructure:
         assert entry is not None
         assert cache.hits == 1 and entry.hits == 1
 
-    def test_uncacheable_never_promotes(self):
+    def test_uncacheable_replaces_the_first_sighting_for_good(self):
         cache = PlanCache(4)
         key = ("SHAPE", (INTEGER,))
+        cache.record_first_sighting(key, {})
         cache.mark_uncacheable(key)
-        assert cache.should_promote(key) is False
+        assert cache.sighting(key) is UNCACHEABLE
+        cache.record_first_sighting(key, {})
+        assert cache.sighting(key) is UNCACHEABLE
         assert cache.uncacheable == 1
 
     def test_fixed_values_get_separate_entries(self):
@@ -145,8 +156,8 @@ class TestPlanCacheStructure:
         assert cache.probe(key, [0, 5], _ENV, _stats) is not None
         assert cache.probe(key, [0, 50], _ENV, _stats) is not None
         assert cache.probe(key, [0, 99], _ENV, _stats) is None
-        # a learned shape promotes on every later miss
-        assert cache.should_promote(key) is True
+        # storing replaces any first-sighting record with the learned split
+        assert cache.sighting(key) == (1,)
 
     def test_lru_eviction_bounded_by_capacity(self):
         cache = PlanCache(2)
@@ -185,7 +196,7 @@ class TestPlanCacheStructure:
     def test_shape_map_bounded(self):
         cache = PlanCache(1)
         for i in range(200):
-            cache.should_promote((f"S{i}", ()))
+            cache.record_first_sighting((f"S{i}", ()), {})
         assert len(cache._shapes) <= cache._shape_capacity
 
 
@@ -194,13 +205,20 @@ class TestPlanCacheStructure:
 # ---------------------------------------------------------------------------
 
 
-@pytest.fixture()
-def db():
-    database = Database(wal_enabled=False, plan_cache_size=8)
+def _pt_db(plan_cache_size: int = 8) -> Database:
+    database = Database(wal_enabled=False, plan_cache_size=plan_cache_size)
     database.execute(
         "create table pt (id int primary key, qty int, name varchar(20))"
     )
     database.bulk_load("pt", [(i, i * 3, f"n{i}") for i in range(20)])
+    database.execute("create table pg (gkey int primary key, gname varchar(20))")
+    database.bulk_load("pg", [(i, f"g{i}") for i in range(0, 60, 3)])
+    return database
+
+
+@pytest.fixture()
+def db():
+    database = _pt_db()
     database.execute("create view pv as select id, qty from pt where qty >= 0")
     return database
 
@@ -220,11 +238,7 @@ class TestDatabaseWiring:
         assert db.plan_cache.misses == 2    # runs 1-2
 
     def test_hit_results_match_fresh(self, db):
-        fresh = Database(wal_enabled=False, plan_cache_size=0)
-        fresh.execute(
-            "create table pt (id int primary key, qty int, name varchar(20))"
-        )
-        fresh.bulk_load("pt", [(i, i * 3, f"n{i}") for i in range(20)])
+        fresh = _pt_db(plan_cache_size=0)
         cached_result = _spin(db, SQL)
         assert cached_result.rows == fresh.query(SQL).rows
 
@@ -344,6 +358,185 @@ class TestDatabaseWiring:
 
 
 # ---------------------------------------------------------------------------
+# Plan once: one optimize_plan call per miss
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture()
+def optimize_calls(monkeypatch):
+    """Every ``optimize_plan`` call made through ``repro.database``."""
+    import repro.database as database_module
+
+    calls = []
+    real = database_module.optimize_plan
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(database_module, "optimize_plan", counted)
+    return calls
+
+
+def _passes(database, calls, sql):
+    """``optimize_plan`` calls the statement ``sql`` made."""
+    before = len(calls)
+    database.query(sql)
+    return len(calls) - before
+
+
+def _sighting(database, sql):
+    from repro.database import _shape_key
+
+    return database.plan_cache.sighting(_shape_key(sql)[0])
+
+
+#: Fires a UAJ case (the unused left-outer augmenter goes).
+JOIN_SQL = ("select p.id, p.qty from pt p left outer join pg g "
+            "on p.qty = g.gkey where p.id = {}")
+#: Fig. 10(c): ASJ subsumption needs the two literals equal.
+ASJ_SQL = ("select v.id, x.name from (select id from pt where qty > {0}) v "
+           "left join (select id, name from pt where qty > {0}) x "
+           "on v.id = x.id")
+#: Duplicated literal: ``$0`` and ``$1`` break the group-by match.
+DUP_SQL = "select qty + {0} from pt group by qty + {0}"
+SUBQUERY_SQL = ("select id from pt where qty > "
+                "(select min(qty) from pt where id < {}) and id < 10")
+
+
+class TestPlanOnce:
+    def test_each_sighting_plans_once_and_a_hit_never(self, optimize_calls):
+        database = _pt_db()
+        assert _passes(database, optimize_calls, JOIN_SQL.format(3)) == 1
+        assert _sighting(database, JOIN_SQL.format(3)) == \
+            database.query_log.last().rewrite_fires
+        assert _passes(database, optimize_calls, JOIN_SQL.format(4)) == 1
+        assert isinstance(_sighting(database, JOIN_SQL.format(4)), tuple)
+        assert _passes(database, optimize_calls, JOIN_SQL.format(5)) == 0
+        cache = database.plan_cache
+        assert (cache.hits, cache.misses, len(cache)) == (1, 2, 1)
+
+    def test_learned_shape_miss_after_eviction_plans_once(self, optimize_calls):
+        database = _pt_db(plan_cache_size=1)
+        by_id = "select id, name from pt where id = {}"
+        by_qty = "select id from pt where qty = {}"
+        for sql in (by_id, by_qty):  # the second shape evicts the first
+            database.query(sql.format(1))
+            database.query(sql.format(2))
+        cache = database.plan_cache
+        assert cache.evictions == 1
+        misses = cache.misses
+        assert _passes(database, optimize_calls, by_id.format(7)) == 1
+        assert cache.misses == misses + 1 and cache.evictions == 2
+        assert _passes(database, optimize_calls, by_id.format(8)) == 0
+
+    def test_a_refused_generic_plan_pays_two_passes_once(self, optimize_calls):
+        database = _pt_db()
+        for first, second, third in ((3, 4, 5), (6, 9, 12)):
+            for template in (SUBQUERY_SQL, ASJ_SQL):
+                assert _passes(database, optimize_calls,
+                               template.format(first)) == 1
+                assert _passes(database, optimize_calls,
+                               template.format(second)) == 2
+                assert _sighting(database, template.format(second)) \
+                    is UNCACHEABLE
+                assert _passes(database, optimize_calls,
+                               template.format(third)) == 1
+            database.plan_cache.clear()
+
+    def test_a_statement_that_fails_to_plan_leaves_its_shape(self):
+        # Either pass failing is no evidence against the shape: the table
+        # is gone, not the generic plan's validity.
+        database = _pt_db()
+        sql = "select id, name from pt where id = {}"
+        database.query(sql.format(1))
+        database.execute("drop table pt")
+        with pytest.raises(Exception):
+            database.query(sql.format(2))
+        assert isinstance(_sighting(database, sql.format(1)), dict)
+        database.execute("create table pt (id int primary key, name varchar(9))")
+        database.execute("insert into pt values (3, 'x')")
+        assert database.query(sql.format(3)).rows == [(3, "x")]
+        assert isinstance(_sighting(database, sql.format(3)), tuple)
+
+
+class TestGenericPlanResults:
+    """Each shape runs three times, with other literals each time, beside a
+    database without a plan cache: the rows agree and the shape ends in
+    its stated cache state."""
+
+    @pytest.mark.parametrize("template, values", [
+        (ASJ_SQL, (6, 9, 12)),
+        (DUP_SQL, (1, 2, 3)),
+        (SUBQUERY_SQL, (3, 6, 9)),
+    ], ids=["asj-subsumption", "duplicated-literal", "scalar-subquery"])
+    def test_uncacheable_shapes(self, template, values):
+        cached, reference = _pt_db(), _pt_db(plan_cache_size=0)
+        for value in values:
+            sql = template.format(value)
+            assert sorted(cached.query(sql).rows) == \
+                sorted(reference.query(sql).rows)
+        assert _sighting(cached, sql) is UNCACHEABLE
+        assert len(cached.plan_cache) == 0
+
+    def test_fixed_limit_slots_get_two_entries_under_one_shape(self):
+        cached, reference = _pt_db(), _pt_db(plan_cache_size=0)
+        template = "select id, qty from pt where qty > {} order by id limit {}"
+        for qty, limit in ((1, 5), (4, 50), (7, 5)):
+            sql = template.format(qty, limit)
+            assert cached.query(sql).rows == reference.query(sql).rows
+        entries = cached.plan_cache.entries()
+        assert len(entries) == 2 and len({e.shape for e in entries}) == 1
+        assert sorted(e.fixed_values for e in entries) == [((1, 5),), ((1, 50),)]
+
+
+class TestGenericMissTelemetry:
+    def test_stats_and_query_log_carry_the_generic_pass(self, monkeypatch):
+        import repro.database as database_module
+
+        real = database_module.optimize_plan
+
+        def slow(*args, **kwargs):
+            time.sleep(0.05)
+            return real(*args, **kwargs)
+
+        database = _pt_db()
+        database.query(JOIN_SQL.format(3))
+        monkeypatch.setattr(database_module, "optimize_plan", slow)
+        stats = database.query(JOIN_SQL.format(4)).stats
+        [entry] = database.plan_cache.entries()
+        assert stats.rewrite_fires == entry.rewrite_fires != {}
+        assert (stats.operators_before, stats.operators_after) == \
+            (entry.operators_before, entry.operators_after)
+        assert stats.operators_before > stats.operators_after > 0
+        assert stats.bind_s > 0 and stats.optimize_s >= 0.05
+        assert stats.parse_s < 0.05  # the generic pass is not parsing
+        [row] = database.query(
+            "select bind_ms, optimize_ms, rewrite_fires, operators_after "
+            f"from sys.query_log where query_id = '{stats.query_id}'"
+        ).rows
+        assert row[0] > 0 and row[1] >= 50
+        assert row[2] == sum(entry.rewrite_fires.values())
+        assert row[3] == entry.operators_after
+
+    def test_generic_pass_runs_under_bind_and_optimize_spans(self):
+        database = _pt_db()
+        database.query(JOIN_SQL.format(3))
+        database.tracing = True
+        database.query(JOIN_SQL.format(4))
+        trace = database.last_trace
+        assert len(database.plan_cache) == 1  # the generic plan ran
+        names = [span.name for span in trace.span_root.children]
+        assert names == ["parse", "bind", "optimize", "execute"]
+        [parse] = trace.span_root.children[:1]
+        assert not parse.children
+        # the pass's rewrite events, not only the counts
+        fired = [event.name for event in trace.events if event.kind == "rewrite"]
+        assert fired and set(fired) <= set(trace.rewrite_counts)
+        assert trace.rewrite_counts == database.plan_cache.entries()[0].rewrite_fires
+
+
+# ---------------------------------------------------------------------------
 # serving layer
 # ---------------------------------------------------------------------------
 
@@ -351,7 +544,7 @@ class TestDatabaseWiring:
 def test_gateway_requests_share_the_plan_cache():
     """Statements arriving over the HTTP gateway run through the same
     Database and therefore the same plan cache: repeated shapes from any
-    client hit after promotion."""
+    client hit once the second request stored the shape."""
     import json
     import urllib.request
 

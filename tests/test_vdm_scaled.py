@@ -55,7 +55,7 @@ def test_optimize_time_stays_bounded(scaled_vdm):
 
 
 def test_plan_cache_stays_bounded_under_distinct_shapes(scaled_vdm):
-    """200 distinct view shapes, each promoted (two runs), against a
+    """200 distinct view shapes, each cached (two runs), against a
     64-entry cache: entry count and approximate memory must respect the
     capacity, with the overflow surfacing as evictions."""
     db, views = scaled_vdm
@@ -63,7 +63,7 @@ def test_plan_cache_stays_bounded_under_distinct_shapes(scaled_vdm):
     for view in views[:200]:
         sql = f"select fkey, amount from {view.name} where fkey = 1"
         db.query(sql)
-        db.query(sql)  # second run promotes the shape
+        db.query(sql)  # second run plans and stores the generic plan
     assert len(cache) <= CACHE_CAPACITY
     assert cache.evictions > 0
     approx = cache.approx_bytes()
