@@ -14,6 +14,7 @@ Responsibilities:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from ..catalog.catalog import Catalog
@@ -44,7 +45,6 @@ from .expr import (
     make_and,
     next_cid,
     referenced_cids,
-    walk,
 )
 
 AGGREGATE_FUNCS = {"COUNT", "SUM", "MIN", "MAX", "AVG"}
@@ -169,6 +169,11 @@ class Binder:
         for child in children[1:]:
             if len(child.output) != arity:
                 raise BindError("UNION ALL children must have the same number of columns")
+        unified = [
+            functools.reduce(common_super_type, (c.output[pos].data_type for c in children))
+            for pos in range(arity)
+        ]
+        children = [_cast_output(child, unified) for child in children]
         op: ops.LogicalOp = ops.UnionAll.create(children)
         if setop.order_by:
             op = self._bind_order_on_output(op, setop.order_by)
@@ -602,7 +607,7 @@ class Binder:
         if isinstance(expr, ast.InList):
             operand = self._bind_scalar(expr.operand, scope, allow_agg)
             items = tuple(self._bind_scalar(i, scope, allow_agg) for i in expr.items)
-            in_call = Call("IN", (operand,) + items, BOOLEAN, True)
+            in_call = Call("IN", _decimal_as_double((operand,) + items), BOOLEAN, True)
             return Call("NOT", (in_call,), BOOLEAN, True) if expr.negated else in_call
         if isinstance(expr, ast.BetweenExpr):
             operand = self._bind_scalar(expr.operand, scope, allow_agg)
@@ -646,10 +651,13 @@ class Binder:
             self._require_boolean(left, op)
             self._require_boolean(right, op)
             return Call(op, (left, right), BOOLEAN, nullable)
-        if op in _COMPARISON_OPS or op == "LIKE":
+        if op == "LIKE":
             return Call(op, (left, right), BOOLEAN, nullable)
         if op == "||":
             return Call("||", (left, right), varchar(None), nullable)
+        left, right = _decimal_as_double((left, right))
+        if op in _COMPARISON_OPS:
+            return Call(op, (left, right), BOOLEAN, nullable)
         if op in _ARITHMETIC_OPS:
             # An untyped NULL literal adopts the other operand's type.
             if _is_null_const(left) and _is_null_const(right):
@@ -706,6 +714,9 @@ class Binder:
         nullable = else_value is None or else_value.nullable or any(
             v.nullable for _, v in branches
         )
+        branches = tuple((c, _coerced(v, result_type)) for c, v in branches)
+        if else_value is not None:
+            else_value = _coerced(else_value, result_type)
         return Case(branches, else_value, result_type, nullable)
 
     def _build_function(self, name: str, args: tuple[Expr, ...]) -> Expr:
@@ -729,6 +740,7 @@ class Binder:
             for data_type in typed[1:]:
                 result = common_super_type(result, data_type)
             all_nullable = all(a.nullable for a in args)
+            args = tuple(_coerced(a, result) for a in args)
             return Call("COALESCE", args, result, all_nullable)
         if name == "NULLIF":
             return Call(name, args, args[0].data_type, True)
@@ -812,7 +824,7 @@ class Binder:
             raise BindError("IN (subquery) requires a single-column subquery")
         operand = self._bind_scalar(conjunct.operand, scope, allow_agg=False)
         right_ref = subplan.output[0].as_ref()
-        condition = Call("=", (operand, right_ref), BOOLEAN, True)
+        condition = Call("=", _decimal_as_double((operand, right_ref)), BOOLEAN, True)
         null_aware = conjunct.kind == "anti"  # NOT IN: NULL = UNKNOWN filters
         return ops.Join(join_type, op, subplan, condition, None, False, null_aware)
 
@@ -1002,6 +1014,48 @@ def _rewrite_ast(expr: ast.Expr, fn) -> ast.Expr:
 def _is_null_const(expr: Expr) -> bool:
     """True for an untyped NULL literal, which adopts any required type."""
     return isinstance(expr, Const) and expr.value is None
+
+
+def _coerced(expr: Expr, target: DataType) -> Expr:
+    """``expr`` with ``target``'s Python type: unchanged when it already
+    has it (INTEGER under BIGINT, DECIMAL(15,2) under DECIMAL(38,4)); a
+    literal converted now, a parameter slot retyped (the plan cache
+    converts its values when it binds them), anything else under a CAST.
+    A NULL literal fits every type."""
+    if _is_null_const(expr) or expr.data_type.python_type is target.python_type:
+        return expr
+    if isinstance(expr, Const):
+        return Const(target.validate(expr.value), target)
+    if isinstance(expr, Param):
+        return Param(expr.slot, target)
+    return Cast(expr, target, expr.nullable)
+
+
+def _decimal_as_double(exprs: tuple[Expr, ...]) -> tuple[Expr, ...]:
+    """Operands that meet as DECIMAL and DOUBLE compare and compute as
+    DOUBLE (``Decimal('0.1') != 0.1``, and ``float + Decimal`` raises).
+    Python compares and hashes equal int, Decimal and float values alike,
+    so no other pairing needs a rule."""
+    kinds = {e.data_type.kind for e in exprs}
+    if TypeKind.DECIMAL not in kinds or TypeKind.DOUBLE not in kinds:
+        return exprs
+    return tuple(
+        _coerced(e, DOUBLE) if e.data_type.kind is TypeKind.DECIMAL else e
+        for e in exprs
+    )
+
+
+def _cast_output(op: ops.LogicalOp, types: list[DataType]) -> ops.LogicalOp:
+    """``op`` with each output column in its entry of ``types``' Python
+    type (a UNION ALL branch under the unified types)."""
+    items = [(col, _coerced(col.as_ref(), ty)) for col, ty in zip(op.output, types)]
+    if all(isinstance(value, ColRef) for _, value in items):
+        return op
+    return ops.Project(op, tuple(
+        (col if isinstance(value, ColRef)
+         else ops.OutputCol(next_cid(), col.name, value.data_type, col.nullable), value)
+        for col, value in items
+    ))
 
 
 @dataclass(frozen=True)

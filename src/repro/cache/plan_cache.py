@@ -100,16 +100,18 @@ class CachedPlan:
     approx_bytes: int = 0
 
     def bind(self, values: list) -> LogicalOp:
-        """The generic plan with a Const of ``values`` in each free slot."""
+        """The generic plan with a Const of ``values`` in each free slot,
+        converted to its Param's type (the binder retypes a slot that
+        meets a column of another Python type, e.g. a DECIMAL literal
+        compared with a DOUBLE column)."""
         if not self.free_slots:
             return self.generic_plan
-        consts = {
-            slot: Const(values[slot], self.param_types[slot])
-            for slot in self.free_slots
-        }
 
         def replace(node):
-            return consts[node.slot] if isinstance(node, Param) else None
+            if isinstance(node, Param):
+                ty = node.data_type
+                return Const(ty.validate(values[node.slot]), ty)
+            return None
 
         return rewrite_op_exprs(
             self.generic_plan, lambda e: rewrite_expr(e, replace))

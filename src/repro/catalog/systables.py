@@ -25,11 +25,19 @@ from .schema import TableSchema
 SYS_PREFIX = "sys."
 
 
+def _typed(value: object, data_type) -> object:
+    if value is None or type(value) is data_type.python_type:
+        return value
+    return data_type.validate(value)
+
+
 class SysTable:
     """One virtual table over engine state.
 
     ``rows_fn`` returns the current rows as sequences in schema column
-    order; it is invoked once per scan open.
+    order; it is invoked once per scan open.  A scan coerces each value
+    of another Python type than its column's declared one (an ``int``
+    under ``DOUBLE``, say), so producers need not.
     """
 
     is_virtual = True
@@ -65,11 +73,15 @@ class SysTable:
         if row_ids is not None:
             rows = [rows[i] for i in row_ids]
         positions = [self._positions[name] for name in names]
+        types = [self.schema.columns[p].data_type for p in positions]
         total = len(rows)
         batch_size = max(1, batch_size)
         for start in range(0, total, batch_size):
             batch = rows[start:start + batch_size]
-            columns = [[row[p] for row in batch] for p in positions]
+            columns = [
+                [_typed(row[p], ty) for row in batch]
+                for p, ty in zip(positions, types)
+            ]
             yield columns, len(batch)
 
     def visible_row_ids(self, txn) -> range:

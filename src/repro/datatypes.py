@@ -74,6 +74,12 @@ class DataType:
     def is_numeric(self) -> bool:
         return self.kind in _NUMERIC_KINDS
 
+    @property
+    def python_type(self) -> type:
+        """The Python class of every non-NULL value of this type (the
+        module docstring's table); :meth:`validate` returns one."""
+        return _PYTHON_TYPES[self.kind]
+
     def validate(self, value: object) -> object:
         """Coerce ``value`` into this type's Python representation.
 
@@ -147,6 +153,17 @@ _COERCERS = {
     TypeKind.VARCHAR: _coerce_varchar,
     TypeKind.DATE: _coerce_date,
     TypeKind.BOOLEAN: _coerce_bool,
+}
+
+
+_PYTHON_TYPES = {
+    TypeKind.INTEGER: int,
+    TypeKind.BIGINT: int,
+    TypeKind.DECIMAL: decimal.Decimal,
+    TypeKind.DOUBLE: float,
+    TypeKind.VARCHAR: str,
+    TypeKind.DATE: datetime.date,
+    TypeKind.BOOLEAN: bool,
 }
 
 

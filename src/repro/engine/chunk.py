@@ -2,10 +2,9 @@
 
 A ``Chunk`` maps cid -> column, where a column is any of the typed
 vector forms from :mod:`repro.vectors` (``DictVector`` dictionary codes,
-``IntVector``/``FloatVector`` dense buffers) or a plain Python list as
-the mixed-type fallback.  Row-at-a-time consumers index and iterate the
-columns exactly as before; vectorized kernels dispatch on the concrete
-vector class.
+``IntVector``/``FloatVector`` dense buffers) or a plain Python list.
+Row-at-a-time consumers index and iterate the columns exactly as before;
+vectorized kernels dispatch on the concrete vector class.
 
 Filters apply *selection vectors* lazily: ``select()`` records the kept
 row positions against the parent's columns and defers the gather until a

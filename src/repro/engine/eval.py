@@ -16,10 +16,8 @@ from functools import lru_cache
 
 from ..errors import ExecutionError, TypeCheckError
 from ..algebra.expr import Call, Case, Cast, ColRef, Const, Expr
-from ..datatypes import DataType, TypeKind
 from . import kernels
 from .chunk import Chunk
-from .kernels import coerce_pair as _coerce_pair
 
 
 def evaluate(expr: Expr, chunk: Chunk) -> list:
@@ -95,7 +93,6 @@ def _cmp(op: str):
                 if a is None or b is None:
                     out.append(None)
                     continue
-                a, b = _coerce_pair(a, b)
                 if op == "=":
                     out.append(a == b)
                 elif op == "<>":
@@ -126,7 +123,6 @@ def _arith(op: str):
             if a is None or b is None:
                 out.append(None)
                 continue
-            a, b = _coerce_pair(a, b)
             try:
                 if op == "+":
                     out.append(a + b)
@@ -135,10 +131,7 @@ def _arith(op: str):
                 elif op == "*":
                     out.append(a * b)
                 elif op == "/":
-                    if isinstance(a, decimal.Decimal) or isinstance(b, decimal.Decimal):
-                        out.append(decimal.Decimal(a) / decimal.Decimal(b))
-                    else:
-                        out.append(a / b)
+                    out.append(a / b)
                 else:  # %
                     out.append(a % b)
             except (ZeroDivisionError, decimal.DivisionByZero, decimal.InvalidOperation):
@@ -232,11 +225,9 @@ def _eval_in(expr: Call, chunk: Chunk) -> list:
         for item in items:
             if item is None:
                 saw_null = True
-            else:
-                a, b = _coerce_pair(value, item)
-                if a == b:
-                    matched = True
-                    break
+            elif value == item:
+                matched = True
+                break
         out.append(True if matched else (None if saw_null else False))
     return out
 

@@ -22,10 +22,12 @@ both the ``Database(vectorized=...)`` gate and the metrics sink
 plus per-operator attribution for ``sys.operator_stats``).
 
 Correctness rule: a kernel must be *exactly* equivalent to the row path
-(`repro fuzz --oracle vectorized-differential` holds it to that), so any
-case with divergent coercion semantics — notably Decimal↔float
-comparisons, which the row path coerces through ``float()`` — returns
-None and takes the row path instead.
+(`repro fuzz --oracle vectorized-differential` holds it to that).  Both
+compare and compute with Python's own operators: every value has its
+column's declared type, and the binder has already cast the DECIMAL side
+of any DECIMAL↔DOUBLE pair, so the operands are ``int``, ``float`` and
+``Decimal`` in combinations Python compares exactly.  An incomparable
+pair (INTEGER < VARCHAR) returns None, and the row path raises.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from __future__ import annotations
 import decimal
 import threading
 import time
-from array import array
 from bisect import bisect_left, bisect_right
 
 from ..algebra.expr import Call, ColRef, Const
@@ -46,20 +47,6 @@ _ARITH_OPS = frozenset(("+", "-", "*", "/", "%"))
 _FLIP = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 _perf_counter = time.perf_counter
-
-
-def coerce_pair(a: object, b: object) -> tuple[object, object]:
-    """Unify numeric operand representations for one row (the engine-wide
-    comparison semantics; kernels and the row path must share it)."""
-    if isinstance(a, float) and isinstance(b, decimal.Decimal):
-        return a, float(b)
-    if isinstance(a, decimal.Decimal) and isinstance(b, float):
-        return float(a), b
-    if isinstance(a, int) and isinstance(b, decimal.Decimal):
-        return decimal.Decimal(a), b
-    if isinstance(a, decimal.Decimal) and isinstance(b, int):
-        return a, decimal.Decimal(b)
-    return a, b
 
 
 # ---------------------------------------------------------------------------
@@ -206,12 +193,6 @@ def _select_dict(col: DictVector, op: str, const):
     if const is None:
         return [], 0  # comparison with NULL is never TRUE
     dictionary = col.dictionary
-    if isinstance(const, (decimal.Decimal, float)) and not isinstance(const, bool):
-        # Decimal↔float comparisons coerce through float() on the row path
-        # (inexact-tolerant); exact dictionary lookups/bisection would
-        # diverge, so only engage on a homogeneous same-type dictionary.
-        if not (col.sorted_dict and dictionary and type(dictionary[0]) is type(const)):
-            return None
     if op == "=" or op == "<>":
         index = col.index()
         if len(index) < len(dictionary):
@@ -230,7 +211,7 @@ def _select_dict(col: DictVector, op: str, const):
             return [i for i, c in enumerate(codes) if c >= 0], n
         return [i for i, c in enumerate(codes) if c >= 0 and c != code], n
     if not col.sorted_dict:
-        return None  # ranges need a value-ordered homogeneous dictionary
+        return None  # ranges need a value-ordered dictionary
     try:
         if op == "<":
             hi = bisect_left(dictionary, const)
@@ -250,27 +231,24 @@ def _select_dict(col: DictVector, op: str, const):
 def _select_typed(col, op: str, const):
     if const is None:
         return [], 0
-    if isinstance(const, decimal.Decimal):
-        if isinstance(col, FloatVector):
-            const = float(const)  # row-path float coercion
-        # IntVector: int↔Decimal comparison is exact on both paths
-    elif not isinstance(const, (int, float)):
-        return None  # cross-type comparisons: row path decides/raises
     data = col.data
     nulls = col.nulls or frozenset()
     n = len(data)
-    if op == "=":
-        sel = [i for i, v in enumerate(data) if v == const]
-    elif op == "<>":
-        sel = [i for i, v in enumerate(data) if v != const]
-    elif op == "<":
-        sel = [i for i, v in enumerate(data) if v < const]
-    elif op == "<=":
-        sel = [i for i, v in enumerate(data) if v <= const]
-    elif op == ">":
-        sel = [i for i, v in enumerate(data) if v > const]
-    else:
-        sel = [i for i, v in enumerate(data) if v >= const]
+    try:
+        if op == "=":
+            sel = [i for i, v in enumerate(data) if v == const]
+        elif op == "<>":
+            sel = [i for i, v in enumerate(data) if v != const]
+        elif op == "<":
+            sel = [i for i, v in enumerate(data) if v < const]
+        elif op == "<=":
+            sel = [i for i, v in enumerate(data) if v <= const]
+        elif op == ">":
+            sel = [i for i, v in enumerate(data) if v > const]
+        else:
+            sel = [i for i, v in enumerate(data) if v >= const]
+    except TypeError:
+        return None  # incomparable types: the row path raises TypeCheckError
     if nulls:
         sel = [i for i in sel if i not in nulls]
     return sel, n
@@ -310,7 +288,6 @@ def try_evaluate(expr, chunk):
 
 def _arith_pair(op: str, a, b):
     """One arithmetic application with the row path's exact semantics."""
-    a, b = coerce_pair(a, b)
     try:
         if op == "+":
             return a + b
@@ -319,8 +296,6 @@ def _arith_pair(op: str, a, b):
         if op == "*":
             return a * b
         if op == "/":
-            if isinstance(a, decimal.Decimal) or isinstance(b, decimal.Decimal):
-                return decimal.Decimal(a) / decimal.Decimal(b)
             return a / b
         return a % b
     except (ZeroDivisionError, decimal.DivisionByZero, decimal.InvalidOperation):

@@ -20,7 +20,6 @@ EXPLAIN ANALYZE collector.
 
 from __future__ import annotations
 
-import decimal
 import functools
 import heapq
 import time
@@ -33,12 +32,11 @@ from operator import add, ge, gt, le, lt
 from typing import Iterator
 
 from ..algebra import ops
-from ..algebra.expr import AggCall, Call, ColRef, Expr, referenced_cids
+from ..algebra.expr import AggCall, Call, Expr, referenced_cids
+from ..datatypes import TypeKind
 from ..errors import ExecutionError, MemoryBudgetWarning, QueryTimeoutError
 from ..vectors import (
     DictVector,
-    FloatVector,
-    IntVector,
     column_nbytes,
     concat_columns,
     decode_column,
@@ -49,7 +47,7 @@ from ..vectors import (
 )
 from . import kernels
 from .chunk import Chunk
-from .eval import _coerce_pair, evaluate, evaluate_predicate
+from .eval import evaluate, evaluate_predicate
 
 #: Default number of rows per streamed batch.
 DEFAULT_BATCH_SIZE = 1024
@@ -537,8 +535,8 @@ class DistinctExec(PhysicalOp):
 
 def _compare_keys(directions, a: tuple, b: tuple) -> int:
     """Three-way ORDER BY comparison of two sort-key tuples: NULLS LAST,
-    the row path's ``coerce_pair`` semantics, 0 on a tie.  ``SortExec``
-    and TopN's general path both order rows with it."""
+    0 on a tie.  ``SortExec`` and TopN's general path both order rows
+    with it."""
     pos = 0  # an index loop: zip() per call makes a full sort ~1.4x slower
     for ascending in directions:
         x = a[pos]
@@ -550,7 +548,6 @@ def _compare_keys(directions, a: tuple, b: tuple) -> int:
             return 1  # NULLS LAST
         if y is None:
             return -1
-        x, y = _coerce_pair(x, y)
         if x == y:
             continue
         less = x < y
@@ -637,47 +634,6 @@ def _entry_values(entries) -> dict:
     }
 
 
-_NUMERIC_RANK_TYPES = frozenset((int, float, bool))
-
-
-def _classify_rank_kinds(key_cols, directions, kinds) -> bool:
-    """Decide whether orderable-tuple ranking stays exact for this chunk.
-
-    Per key: int/float/bool values (native comparison equals the engine's
-    ``coerce_pair`` semantics — only Decimal pairings coerce) rank in both
-    directions via sign flip; one uniform non-Decimal type ranks ascending
-    only (there is no generic order-inverting transform).  ``kinds`` keeps
-    the per-key decision across chunks; any cross-chunk kind change, any
-    Decimal, and any mix beyond the numeric tower disables the fast path.
-    Typed vectors are numeric and a sorted dictionary holds one type, so
-    neither is scanned.
-    """
-    for pos, col in enumerate(key_cols):
-        if isinstance(col, (IntVector, FloatVector)):
-            kind = "num"
-        else:
-            if isinstance(col, DictVector) and col.sorted_dict:
-                types = {type(v) for v in col.dictionary[:1]}
-            else:
-                types = {type(v) for v in col}
-                types.discard(type(None))
-            if not types:
-                continue  # all-NULL chunk: (1,) parts rank fine either way
-            if types <= _NUMERIC_RANK_TYPES:
-                kind = "num"
-            elif len(types) == 1:
-                kind = next(iter(types))
-                if kind is decimal.Decimal or not directions[pos]:
-                    return False
-            else:
-                return False
-        if kinds[pos] is None:
-            kinds[pos] = kind
-        elif kinds[pos] != kind:
-            return False
-    return True
-
-
 def _ranks(keys: list, directions, seqs) -> list:
     """Orderable ranks in output order, one per key tuple: ``(0, v)``
     ascending or ``(0, -v)`` descending per key, ``(1,)`` for NULL (NULLS
@@ -756,19 +712,18 @@ class TopNExec(PhysicalOp):
     Each batch reads only its sort-key columns.  While the heap fills,
     rows enter unconditionally; once it is full, only the rows that
     :func:`_candidates` lets through on the first key are ranked.  When
-    the keys hold plain int/float/bool (either direction) or one uniform
-    non-Decimal type (ascending only), a row is ranked by an *orderable
-    tuple* — one C-level tuple comparison decides it.  Anything else
-    (Decimal coercion, mixed kinds, descending strings) ranks every row
-    with :func:`_compare_keys`, the comparator ``SortExec`` uses; a later
-    chunk that breaks the rank path's assumptions demotes the collected
-    heap in place.  After each batch, the rows it left in the heap are
-    gathered once (``chunk.take``), so a batch that admits nothing never
-    reads a non-key column.  A payload lives while one of its rows is in
-    the heap; when the live payloads hold more than ``2·(k+o)`` rows and
-    more than a batch, the kept rows are copied into one payload, so no
-    more than that many rows outlive their batch (each copy follows at
-    least ``k+o`` admissions).
+    every key is numeric or BOOLEAN (either direction) or ascending, a
+    row is ranked by an *orderable tuple* — one C-level tuple comparison
+    decides it; the keys' declared types decide this once, before the
+    first batch.  A descending VARCHAR or DATE key ranks every row with
+    :func:`_compare_keys`, the comparator ``SortExec`` uses, since those
+    types have no order-inverting transform.  After each batch, the rows
+    it left in the heap are gathered once (``chunk.take``), so a batch
+    that admits nothing never reads a non-key column.  A payload lives
+    while one of its rows is in the heap; when the live payloads hold
+    more than ``2·(k+o)`` rows and more than a batch, the kept rows are
+    copied into one payload, so no more than that many rows outlive their
+    batch (each copy follows at least ``k+o`` admissions).
     """
 
     blocking = True
@@ -827,22 +782,17 @@ class TopNExec(PhysicalOp):
             retained += p.size
             held += p.nbytes
 
-        # 'num' (int/float/bool, both directions) or a concrete type
-        # (ascending only) per key; decided from the first non-null values.
-        fast = True
-        kinds: list = [None] * len(key_cids)
+        types = {c.cid: c.data_type for c in self.output}
+        fast = all(
+            k.ascending or types[k.cid].is_numeric
+            or types[k.cid].kind is TypeKind.BOOLEAN
+            for k in self.keys
+        )
         stream = self.children[0].execute(ctx)
         try:
             for chunk in stream:
                 n = chunk.row_count
                 cols = [chunk.column(cid) for cid in key_cids]
-                if fast:
-                    fast = _classify_rank_kinds(cols, directions, kinds)
-                    if not fast:
-                        # Demote: rebuild collected entries under the
-                        # general comparator before mixing in this chunk.
-                        heap = [worst_first(e) for e in heap]
-                        heapq.heapify(heap)
                 new: list = []  # this batch's entries
                 out: list = []  # the entries they evicted
                 fill = min(n, keep - len(heap))
@@ -980,15 +930,17 @@ class HashAggregateExec(PhysicalOp):
         finally:
             stream.close()
 
+        types = {c.cid: c.data_type.python_type for c in self.output}
         columns: dict[int, list] = {}
         keys = list(groups)
         if len(op.group_cids) == 1:
-            columns[op.group_cids[0]] = maybe_typed(keys)
+            cid = op.group_cids[0]
+            columns[cid] = maybe_typed(keys, types[cid])
         else:
             for pos, cid in enumerate(op.group_cids):
-                columns[cid] = maybe_typed([key[pos] for key in keys])
+                columns[cid] = maybe_typed([key[pos] for key in keys], types[cid])
         for (col, call), acc, cnt in zip(op.aggs, accs, cnts):
-            columns[col.cid] = maybe_typed(_finalize(call, acc, cnt))
+            columns[col.cid] = maybe_typed(_finalize(call, acc, cnt), types[col.cid])
         yield from _rebatch(Chunk(columns, ngroups), ctx.batch_size)
 
 
@@ -1112,9 +1064,8 @@ class HashJoinExec(PhysicalOp):
         build = _materialize(self.children[1], ctx)
         if ctx.track_mem:
             ctx.track_memory(self, build.estimated_bytes())
-        memos: dict = {}
         table, unique = _hash_build(
-            _join_keys([re for _, re in self.equi], build, memos)
+            _join_keys([re for _, re in self.equi], build)
         )
         left_outer = self.logical.join_type is ops.JoinType.LEFT_OUTER
         if not table and not left_outer:
@@ -1126,7 +1077,7 @@ class HashJoinExec(PhysicalOp):
         stream = self.children[0].execute(ctx)
         try:
             for chunk in stream:
-                keys = _join_keys(probe_exprs, chunk, memos)
+                keys = _join_keys(probe_exprs, chunk)
                 if unique:
                     ridx = [get(k, -1) for k in keys]
                     if not self.residual and (left_outer or -1 not in ridx):
@@ -1159,9 +1110,8 @@ class HashJoinExec(PhysicalOp):
             ctx.track_memory(self, held)
         if build.row_count == 0:
             return
-        memos: dict = {}
         table, unique = _hash_build(
-            _join_keys([le for le, _ in self.equi], build, memos)
+            _join_keys([le for le, _ in self.equi], build)
         )
         get = table.get
         # Matched probe rows, gathered per batch; ``lrows[p]`` is the build
@@ -1173,7 +1123,7 @@ class HashJoinExec(PhysicalOp):
         stream = self.children[1].execute(ctx)
         try:
             for chunk in stream:
-                keys = _join_keys(probe_exprs, chunk, memos)
+                keys = _join_keys(probe_exprs, chunk)
                 if unique:
                     hits = [get(k, -1) for k in keys]
                     jidx = [j for j, i in enumerate(hits) if i >= 0]
@@ -1270,13 +1220,12 @@ class HashJoinExec(PhysicalOp):
             )
         members: set = set()
         build_rows = 0
-        memos: dict = {}
         build_exprs = [re for _, re in self.equi]
         right_stream = self.children[1].execute(ctx)
         try:
             for chunk in right_stream:
                 build_rows += chunk.row_count
-                members.update(_join_keys(build_exprs, chunk, memos))
+                members.update(_join_keys(build_exprs, chunk))
         finally:
             right_stream.close()
         right_has_null = None in members
@@ -1294,7 +1243,7 @@ class HashJoinExec(PhysicalOp):
         stream = self.children[0].execute(ctx)
         try:
             for chunk in stream:
-                keys = _join_keys(probe_exprs, chunk, memos)
+                keys = _join_keys(probe_exprs, chunk)
                 if is_anti:
                     keep = [
                         i for i, k in enumerate(keys)
@@ -1392,55 +1341,23 @@ def _equi_pair(
     return None
 
 
-def _join_keys(exprs, chunk: Chunk, memos: dict) -> list:
-    """One normalized, hashable join key per row of ``chunk``; ``None``
-    where any key part is NULL.  A multi-column key is a tuple."""
-    parts = [_key_vector(evaluate(expr, chunk), memos) for expr in exprs]
+def _join_keys(exprs, chunk: Chunk) -> list:
+    """One hashable join key per row of ``chunk``; ``None`` where any key
+    part is NULL.  A multi-column key is a tuple."""
+    parts = [_key_vector(evaluate(expr, chunk)) for expr in exprs]
     if len(parts) == 1:
         return parts[0]
     return [None if None in key else key for key in zip(*parts)]
 
 
-def _key_vector(col, memos: dict) -> list:
-    """Normalized key values of one column, ``None`` for NULL.
-
-    A dictionary-coded column goes through a ``code -> key`` translation
-    memo kept per dictionary for the whole join (``memos`` maps the
-    dictionary's id to ``(dictionary, memo)``; holding the dictionary
-    keeps the id from being reused).  Each batch normalizes only the codes
-    it carries that the memo has not seen, never the whole dictionary, so
-    a one-row probe against a large dictionary stays O(1).
-    """
+def _key_vector(col) -> list:
+    """The key values of one column, ``None`` for NULL: its decoded
+    values.  Both sides of an equi-join condition have one Python type
+    or Python compares and hashes them alike (int against Decimal); the
+    binder has cast the DECIMAL side of a DECIMAL↔DOUBLE pair."""
     if isinstance(col, DictVector):
         kernels.note_dict_compares(len(col.codes))
-        dictionary = col.dictionary
-        entry = memos.get(id(dictionary))
-        if entry is None:
-            entry = memos[id(dictionary)] = (dictionary, {-1: None})
-        memo = entry[1]
-        codes = col.codes
-        for code in set(codes).difference(memo):
-            memo[code] = _norm_key(dictionary[code])
-        return list(map(memo.__getitem__, codes))
-    if isinstance(col, IntVector):
-        return col.tolist()  # exact ints: already normalized
-    return [v if type(v) in _PLAIN_KEY_TYPES else _norm_key(v) for v in col]
-
-
-_PLAIN_KEY_TYPES = frozenset((int, str, type(None)))
-
-
-def _norm_key(value: object) -> object:
-    """Normalize join-key values so 1 == Decimal('1') hash-match."""
-    if isinstance(value, decimal.Decimal):
-        if value == value.to_integral_value():
-            return int(value)
-        return float(value)
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    return value
+    return decode_column(col)
 
 
 def _hash_build(keys: list) -> tuple[dict, bool]:
@@ -1466,9 +1383,8 @@ def _hash_build(keys: list) -> tuple[dict, bool]:
 def _group_ids(groups: dict, cols: list) -> list:
     """One group id per row; first-seen keys join ``groups`` (key -> id).
 
-    Keys are decoded values under Python equality, so ``1``, ``1.0`` and
-    ``Decimal('1')`` share one group named by the first-seen value, and
-    NULL is one group.  A multi-column key is a tuple.
+    Keys are decoded values under Python equality, and NULL is one
+    group.  A multi-column key is a tuple.
     """
     setdefault = groups.setdefault
     if len(cols) == 1:
@@ -1543,11 +1459,11 @@ def _finalize(call: AggCall, acc: list, cnt: list | None) -> list:
         if func == "COUNT":
             return [len(values) for values in acc]
         if func == "AVG":
-            return [_avg(_add(values), len(values)) if values else None for values in acc]
+            return [_add(values) / len(values) if values else None for values in acc]
         reduce = {"SUM": _add, "MIN": min, "MAX": max}[func]
         return [reduce(values) if values else None for values in acc]
     if func == "AVG":
-        return [None if n == 0 else _avg(total, n) for total, n in zip(acc, cnt)]
+        return [None if n == 0 else total / n for total, n in zip(acc, cnt)]
     return acc
 
 
@@ -1557,9 +1473,3 @@ def _add(values):
     (a set did) or on the Python version (the builtin ``sum()`` compensates
     floats from 3.12)."""
     return functools.reduce(add, values)
-
-
-def _avg(total, n: int):
-    if isinstance(total, decimal.Decimal):
-        return total / decimal.Decimal(n)
-    return total / n

@@ -22,8 +22,12 @@ it (see :data:`TARGETS`).  The shapes mirror the paper's patterns:
 ``limit_union``  LIMIT directly above a Union All view
 ``mixed``        unbiased query over a random relation of the stack
 
-Only INT and VARCHAR columns are generated, keeping row values JSON-round-
-trippable without a codec.
+Besides INT and VARCHAR, the anchor and dimension tables carry a
+``decimal(12,2)`` and a ``double`` column, and stacks mix them with
+integers in comparisons, join keys, UNION ALL branches and COALESCE/CASE,
+so every bind-time cast meets the oracles.  Decimal cells are stored as
+strings (storage converts them), keeping rows JSON-round-trippable without
+a codec.
 """
 
 from __future__ import annotations
@@ -92,7 +96,8 @@ class QuerySpec:
     #: allows ``is null`` / ``is not null`` (value ignored) and the DAC
     #: shape ``= or is null`` (``(col = value or col is null)``).  An
     #: optional ``"and"`` entry holds a second predicate of the same form,
-    #: joined with AND.
+    #: joined with AND.  A numeric comparison may take its right side as
+    #: SQL text (``"rhs"``): another column, a DECIMAL or a DOUBLE literal.
     where: dict | None = None
     distinct: bool = False
     #: ORDER BY keys as ``[column, ascending]`` pairs.
@@ -171,8 +176,10 @@ def _predicate_sql(pred: dict) -> str:
     col, op = pred["col"], pred["op"]
     if op in ("is null", "is not null"):
         return f"{col} {op}"
-    value = pred["value"]
-    if value is None:
+    value = pred.get("value")
+    if "rhs" in pred:
+        literal = pred["rhs"]
+    elif value is None:
         literal = "null"
     elif isinstance(value, str):
         escaped = value.replace("'", "''")
@@ -263,12 +270,19 @@ class _Relation:
     name: str
     anchor_cols: list[str]          # columns the query may use freely
     aug_cols: list[str]             # augmenter columns (UAJ bias excludes them)
-    int_cols: set[str]
+    int_cols: set[str]              # exact numbers: INT and DECIMAL
     nullable_cols: set[str]
     unique_col: str | None          # a column unique per output row, if any
+    #: DOUBLE columns: compared like ``int_cols``, never summed (a float
+    #: sum depends on the order rows arrive in).
+    real_cols: set[str] = field(default_factory=set)
 
 
 _TAGS = ["t0", "t1", "t2", "t3", "t4"]
+#: DECIMAL cells and DOUBLE cells: equal pairs exist (``'2.50'`` and
+#: ``2.5``), and ``'0.10'`` meets ``0.1`` only as DOUBLE.
+_AMOUNTS = ["0.10", "0.25", "1.10", "2.50", "3.00", "7.75"]
+_RATES = [0.1, 0.25, 1.0, 2.5, 3.0, 12.0]
 
 
 class WorkloadGenerator:
@@ -303,12 +317,15 @@ class WorkloadGenerator:
                     rng.randrange(5),                                # grp
                     None if rng.random() < 0.15 else rng.randrange(25),
                     None if rng.random() < 0.2 else rng.choice(_TAGS),
+                    None if rng.random() < 0.15 else rng.choice(_AMOUNTS),
+                    None if rng.random() < 0.15 else rng.choice(_RATES),
                 ]
             )
         return TableSpec(
             "fct",
             "create table fct (id int primary key, k1 int not null, k2 int, "
-            "grp int not null, val int, tag varchar(8))",
+            "grp int not null, val int, tag varchar(8), amt decimal(12,2), "
+            "rate double)",
             rows,
         )
 
@@ -318,12 +335,15 @@ class WorkloadGenerator:
                 k,
                 None if rng.random() < 0.1 else rng.randrange(50),
                 None if rng.random() < 0.2 else rng.choice(_TAGS),
+                rng.choice(_AMOUNTS),
+                rng.choice(_RATES),
             ]
             for k in range(dim_n)
         ]
         return TableSpec(
             name,
-            f"create table {name} (k int primary key, d_val int, d_tag varchar(8))",
+            f"create table {name} (k int primary key, d_val int, d_tag varchar(8), "
+            "d_amt decimal(12,2), d_rate double)",
             rows,
         )
 
@@ -359,7 +379,8 @@ class WorkloadGenerator:
         # (VDM interface view), occasionally with its own restriction.
         base_where = " where grp < 4" if rng.random() < 0.3 else ""
         views.append(
-            "create view b0 as select id, k1, k2, grp, val, tag from fct" + base_where
+            "create view b0 as select id, k1, k2, grp, val, tag, amt, rate from fct"
+            + base_where
         )
 
         if target in ("uaj", "limit_aj"):
@@ -471,11 +492,14 @@ class WorkloadGenerator:
         )
 
     def _stack_union_view(self, rng: random.Random, views: list[str]) -> _Relation:
+        """Its ``val`` branches may differ in numeric kind: the binder casts
+        each to the unified type."""
         split = rng.randint(1, 4)
+        low, high = (rng.choice(["val", "amt", "rate"]) for _ in range(2))
         views.append(
             f"create view uv as "
-            f"select id, val from fct where grp < {split} "
-            f"union all select id, val from fct where grp >= {split}"
+            f"select id, {low} as val from fct where grp < {split} "
+            f"union all select id, {high} as val from fct where grp >= {split}"
         )
         return _Relation(
             name="uv",
@@ -504,23 +528,49 @@ class WorkloadGenerator:
                 anchor_cols=relation.anchor_cols + relation.aug_cols,
                 aug_cols=[],
             )
-        elif roll < 0.8:
+        elif roll < 0.7:
             relation = _Relation(
-                name="b0",
-                anchor_cols=["id", "k1", "k2", "grp", "val", "tag"],
+                name=rng.choice(["b0", "fct"]),
+                anchor_cols=["id", "k1", "k2", "grp", "val", "tag", "amt", "rate"],
                 aug_cols=[],
-                int_cols={"id", "k1", "k2", "grp", "val"},
-                nullable_cols={"k2", "val", "tag"},
+                int_cols={"id", "k1", "k2", "grp", "val", "amt"},
+                nullable_cols={"k2", "val", "tag", "amt", "rate"},
                 unique_col="id",
+                real_cols={"rate"},
+            )
+        elif roll < 0.85:
+            # COALESCE is DOUBLE (amt cast); CASE is DECIMAL (val cast).
+            views.append(
+                "create view nc as select id, grp, val, amt, rate, "
+                "coalesce(amt, rate) as c_num, "
+                "case when grp < 2 then amt else val end as k_num from b0"
+            )
+            relation = _Relation(
+                name="nc",
+                anchor_cols=["id", "grp", "val", "amt", "rate", "c_num", "k_num"],
+                aug_cols=[],
+                int_cols={"id", "grp", "val", "amt", "k_num"},
+                nullable_cols={"val", "amt", "rate", "c_num", "k_num"},
+                unique_col="id",
+                real_cols={"rate", "c_num"},
             )
         else:
+            # A mixed-numeric join key; the dimension side is not unique.
+            left, right = rng.choice(
+                [("amt", "d_rate"), ("rate", "d_amt"), ("val", "d_amt"), ("amt", "d_amt")]
+            )
+            views.append(
+                "create view nj as select b.id, b.amt, b.rate, d.d_val, d.d_tag "
+                f"from b0 b left outer join dim1 d on b.{left} = d.{right}"
+            )
             relation = _Relation(
-                name="fct",
-                anchor_cols=["id", "k1", "k2", "grp", "val", "tag"],
+                name="nj",
+                anchor_cols=["id", "amt", "rate", "d_val", "d_tag"],
                 aug_cols=[],
-                int_cols={"id", "k1", "k2", "grp", "val"},
-                nullable_cols={"k2", "val", "tag"},
-                unique_col="id",
+                int_cols={"id", "amt", "d_val"},
+                nullable_cols={"amt", "rate", "d_val", "d_tag"},
+                unique_col=None,
+                real_cols={"rate"},
             )
         return relation
 
@@ -539,15 +589,20 @@ class WorkloadGenerator:
                        allowed: list[str]) -> dict:
         # The DAC shape lands on the coded, nullable tag columns: ``tag``
         # and the left-outer-joined augmenter columns ``d_tag``/``ext_tag``.
+        numeric = relation.int_cols | relation.real_cols
         tags = [c for c in allowed
-                if c in relation.nullable_cols and c not in relation.int_cols]
+                if c in relation.nullable_cols and c not in numeric]
         if tags and rng.random() < 0.5:
             return {"col": rng.choice(tags), "op": "= or is null",
                     "value": rng.choice(_TAGS)}
         col = rng.choice(allowed)
-        if col in relation.int_cols:
+        if col in numeric:
             op = rng.choice(["=", "<", "<=", ">", ">=", "<>"])
-            return {"col": col, "op": op, "value": rng.randrange(30)}
+            if rng.random() < 0.5:
+                return {"col": col, "op": op, "value": rng.randrange(30)}
+            others = [c for c in allowed if c in numeric and c != col]
+            rhs = rng.choice(others + _AMOUNTS + [f"{r}e0" for r in _RATES])
+            return {"col": col, "op": op, "rhs": rhs}
         if col in relation.nullable_cols and rng.random() < 0.4:
             return {"col": col, "op": rng.choice(["is null", "is not null"]),
                     "value": None}

@@ -20,32 +20,23 @@ from typing import Iterable, Iterator
 from ..vectors import DictVector
 
 
-def _sort_key(value: object):
-    # Dictionary values are homogeneous per column in practice; the type tag
-    # guards against mixed int/str columns constructed in tests.
-    return (type(value).__name__, value)
-
-
 BLOCK_ROWS = 1024
 
 
 class MainFragment:
     """Read-optimized, dictionary-encoded storage for one column."""
 
-    __slots__ = ("dictionary", "codes", "homogeneous", "_index", "_zone_map")
+    __slots__ = ("dictionary", "codes", "_index", "_zone_map")
 
     def __init__(self, values: Iterable[object] = ()):
         materialized = list(values)
-        distinct = sorted({v for v in materialized if v is not None}, key=_sort_key)
+        # Storage validates every value into its column's one Python type,
+        # so the dictionary is value-ordered: range kernels bisect it and
+        # compare raw codes.
+        distinct = sorted({v for v in materialized if v is not None})
         self.dictionary: list[object] = distinct
         self._index: dict[object, int] = {v: i for i, v in enumerate(distinct)}
         self.codes = array("q", (self._encode(v) for v in materialized))
-        #: Single-type dictionaries are value-ordered (the type-tagged sort
-        #: key degenerates to plain value order), which is what lets range
-        #: kernels bisect the dictionary and compare raw codes.
-        self.homogeneous = (
-            len({type(v) for v in distinct}) <= 1
-        )
         self._zone_map: list[tuple[object, object, bool]] | None = None
 
     def _encode(self, value: object) -> int:
@@ -183,9 +174,7 @@ class ColumnFragments:
         main = self.main
         main_len = len(main)
         if stop <= main_len:
-            return DictVector(
-                main.dictionary, main.codes[start:stop], main.homogeneous, main._index
-            )
+            return DictVector(main.dictionary, main.codes[start:stop], index=main._index)
         if start >= main_len:
             return self.delta.values[start - main_len:stop - main_len]
         return self.get_range(start, stop)
@@ -200,8 +189,7 @@ class ColumnFragments:
             return DictVector(
                 main.dictionary,
                 array("q", (codes[row] for row in row_ids)),
-                main.homogeneous,
-                main._index,
+                index=main._index,
             )
         return self.get_many(row_ids)
 

@@ -2,8 +2,9 @@
 
 A column inside a :class:`repro.engine.chunk.Chunk` is one of:
 
-``list``          object fallback — mixed-type columns, DML staging, and
-                  every value that came out of the delta fragment;
+``list``          plain values — DML staging, computed columns that no
+                  typed vector holds (Decimal, str, dates), and every
+                  value that came out of the delta fragment;
 ``DictVector``    dictionary-coded values: a *shared* (never copied)
                   dictionary reference plus an ``array('q')`` code vector,
                   NULL = code ``-1`` — what :class:`MainFragment` scans
@@ -11,6 +12,11 @@ A column inside a :class:`repro.engine.chunk.Chunk` is one of:
 ``IntVector``     ``array('q')`` integers with an optional null-position
                   set (``-1`` is a legal value, so validity is explicit);
 ``FloatVector``   ``array('d')`` floats, same validity scheme.
+
+Whatever the form, every non-NULL value of a column has the Python type
+of the column's declared SQL type (:attr:`repro.datatypes.DataType.
+python_type`): storage validates what it stores, and the binder casts
+where two types meet.
 
 All vectors satisfy a small sequence protocol (``len``/``[]``/iteration/
 ``==`` against plain lists) so row-at-a-time code keeps working unchanged;
@@ -27,15 +33,6 @@ from __future__ import annotations
 import sys
 from array import array
 
-_MISSING = object()
-
-
-def _sort_key(value: object):
-    # Mirrors repro.storage.column._sort_key (type-tagged so mixed-type
-    # dictionaries stay sortable); duplicated here to keep this module
-    # import-free.
-    return (type(value).__name__, value)
-
 
 class DictVector:
     """Dictionary-coded column: shared dictionary ref + ``array('q')`` codes.
@@ -45,9 +42,10 @@ class DictVector:
     vector never copies it, so a thousand batches over one fragment cost
     one dictionary.  Code ``-1`` is NULL.
 
-    ``sorted_dict`` is True when the dictionary is value-sorted over one
-    homogeneous type (the merged-fragment invariant), which is what lets
-    range predicates compare raw codes against a bisected threshold.
+    ``sorted_dict`` is True when the dictionary is value-sorted (every
+    main fragment's is), which is what lets range predicates compare raw
+    codes against a bisected threshold; a dictionary derived by an
+    arithmetic kernel makes no such claim.
     """
 
     __slots__ = ("dictionary", "codes", "sorted_dict", "_index")
@@ -293,31 +291,14 @@ def concat_columns(columns: list):
     return out
 
 
-def maybe_typed(values: list):
-    """Pack a homogeneous int/float value list (NULLs allowed) into a
-    typed vector; anything mixed, Decimal, bool, or out of 64-bit range
-    stays an object list."""
-    kind = None
-    for v in values:
-        if v is None:
-            continue
-        t = type(v)  # exact: bool is an int subclass but must stay object
-        if t is int:
-            if kind is None:
-                kind = int
-            elif kind is not int:
-                return values
-        elif t is float:
-            if kind is None:
-                kind = float
-            elif kind is not float:
-                return values
-        else:
-            return values
+def maybe_typed(values: list, python_type: type):
+    """Pack a column of ``int`` or ``float`` values (NULLs allowed) into a
+    typed vector; a column of another type, or one holding an int out of
+    64-bit range, stays an object list."""
     try:
-        if kind is int:
+        if python_type is int:
             return IntVector(values)
-        if kind is float:
+        if python_type is float:
             return FloatVector(values)
     except OverflowError:
         pass

@@ -8,9 +8,11 @@
 
 ``physical_schemas`` (autouse) checks every non-empty batch of every
 physical operator against that operator's ``output``: the batch must carry
-exactly the declared column ids.  Mismatches are recorded and fail the test
-at teardown, so a planner bug surfaces even where the fuzz oracles turn
-exceptions into "crash" strings.
+exactly the declared column ids, and the first ``TYPE_SAMPLE`` values of
+every column must be NULL or of the column's declared Python type.
+Mismatches are recorded and fail the test at teardown, so a planner or
+binder bug surfaces even where the fuzz oracles turn exceptions into
+"crash" strings.
 """
 
 from __future__ import annotations
@@ -22,9 +24,40 @@ from repro.engine.physical import PhysicalOp
 from repro.workloads import create_sales_schema, create_tpch_schema, load_sales, load_tpch
 
 
+#: Values per column whose Python type ``physical_schemas`` checks.
+TYPE_SAMPLE = 32
+
+
+def _sampled_values(chunk, cid: int) -> list:
+    """The first ``TYPE_SAMPLE`` values of one column, read one by one
+    (``col[i]``) so that neither a pending selection nor a whole column is
+    gathered: operators' gather counts stay what they would be untested."""
+    rows = range(min(chunk.row_count, TYPE_SAMPLE))
+    col = chunk._cols.get(cid)
+    if col is None:  # a pending selection over the parent's columns
+        col = chunk._base[cid]
+        rows = chunk._sel[:TYPE_SAMPLE]
+    return [col[i] for i in rows]
+
+
+def _type_mismatches(op, chunk) -> list[str]:
+    found = []
+    for c in op.output:
+        expected = c.data_type.python_type
+        for value in _sampled_values(chunk, c.cid):
+            if value is not None and type(value) is not expected:
+                found.append(
+                    f"{op.label()}: column {c.name}#{c.cid} declares "
+                    f"{c.data_type}, carries {value!r}"
+                )
+                break
+    return found
+
+
 @pytest.fixture(autouse=True)
 def physical_schemas():
-    """Yield the list of schema mismatches; fail at teardown if any."""
+    """Yield the list of schema and type mismatches; fail at teardown if
+    any."""
     mismatches: list[str] = []
     original = PhysicalOp._stream
 
@@ -34,7 +67,9 @@ def physical_schemas():
         inner = original(self, ctx)
         try:
             for chunk in inner:
-                if chunk.row_count and (
+                if not chunk.row_count:
+                    pass
+                elif (
                     len(expected) != len(declared)
                     or set(chunk.column_ids()) != expected
                 ):
@@ -42,6 +77,8 @@ def physical_schemas():
                         f"{self.label()}: batch carries "
                         f"{sorted(chunk.column_ids())}, output declares {declared}"
                     )
+                else:
+                    mismatches.extend(_type_mismatches(self, chunk))
                 yield chunk
         finally:
             inner.close()

@@ -106,7 +106,9 @@ class TestGroupKeys:
         assert rows == [("a", 3, 9), ("b", 6, 12 + 10 * (1 + 3 + 5)),
                         ("c", 6, 15 + 10 * (0 + 2 + 4))]
 
-    def test_int_float_decimal_keys_share_a_group_named_first_seen(self):
+    def test_mixed_kind_union_keys_group_under_the_unified_type(self):
+        """A UNION ALL of INTEGER, DOUBLE and DECIMAL keys casts every
+        branch to the unified type, whatever the branch order."""
         def setup(db):
             db.execute("create table ti (id int primary key, k int)")
             db.execute("create table tf (id int primary key, k double)")
@@ -116,14 +118,17 @@ class TestGroupKeys:
             db.bulk_load("td", [(0, D("1")), (1, D("2.50"))])
 
         union = "select k from {} union all select k from {} union all select k from {}"
+        for order in (("tf", "ti", "td"), ("td", "tf", "ti")):
+            rows = run_everywhere(
+                setup, f"select k, count(*) from ({union.format(*order)}) u group by k"
+            )
+            assert_exact(rows, [(1.0, 3), (2.5, 2), (3.0, 1)])
         rows = run_everywhere(
-            setup, f"select k, count(*) from ({union.format('tf', 'ti', 'td')}) u group by k"
+            setup,
+            "select k, count(*) from (select k from ti union all "
+            "select k from td) u group by k",
         )
-        assert_exact(rows, [(1.0, 3), (2.5, 2), (3, 1)])
-        rows = run_everywhere(
-            setup, f"select k, count(*) from ({union.format('td', 'tf', 'ti')}) u group by k"
-        )
-        assert_exact(rows, [(D("1.00"), 3), (D("2.50"), 2), (3, 1)])
+        assert_exact(rows, [(D("1.00"), 2), (D("3.00"), 1), (D("2.50"), 1)])
 
     def test_two_column_key_with_a_null_part(self):
         rows = run_everywhere(sales, "select k, g, count(*) from s group by k, g")

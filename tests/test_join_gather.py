@@ -167,6 +167,63 @@ class TestUniqueBuild:
         assert rows == [(i, None) for i in range(60)]
 
 
+class TestDecimalKeys:
+    """DECIMAL keys match by exact value, on every path that compares
+    them; a DECIMAL key meets a DOUBLE key as DOUBLE (the binder casts
+    the DECIMAL side), so ``0.1`` matches ``1e-1``."""
+
+    @staticmethod
+    def setup(db):
+        db.execute("create table wide (k decimal(38,20))")
+        db.execute("create table narrow (k decimal(38,20))")
+        db.execute("create table dbl (k double)")
+        db.bulk_load("wide", [
+            (decimal.Decimal(v),) for v in ("0.1", "1", "2", "3", "4")
+        ])
+        db.bulk_load("narrow", [(decimal.Decimal("0.10000000000000000001"),)])
+        db.bulk_load("dbl", [(1e-1,)])
+
+    @pytest.mark.parametrize("sql, build", [
+        ("select wide.k, narrow.k from wide join narrow on wide.k = narrow.k",
+         "build=right"),
+        ("select wide.k, narrow.k from narrow join wide on wide.k = narrow.k",
+         "build=left"),
+    ])
+    def test_close_decimals_do_not_match_in_a_hash_join(self, sql, build):
+        assert build in physical_plan(self.setup, sql)
+        assert run_everywhere(self.setup, sql) == []
+
+    @pytest.mark.parametrize("sql", [
+        "select k from wide where k in (select k from narrow)",
+        "select k from narrow where k in (select k from wide)",
+        "select k from wide where k = 0.10000000000000000001",
+        "select k from narrow where k = 0.1",
+    ])
+    def test_close_decimals_do_not_match_in_filters(self, sql):
+        assert run_everywhere(self.setup, sql) == []
+
+    @pytest.mark.parametrize("sql, build", [
+        ("select wide.k, dbl.k from wide join dbl on wide.k = dbl.k",
+         "build=right"),
+        ("select wide.k, dbl.k from dbl join wide on dbl.k = wide.k",
+         "build=left"),
+    ])
+    def test_decimal_matches_an_equal_double(self, sql, build):
+        assert build in physical_plan(self.setup, sql)
+        assert run_everywhere(self.setup, sql) == [
+            (decimal.Decimal("0.10000000000000000000"), 0.1)
+        ]
+
+    @pytest.mark.parametrize("sql", [
+        "select k from wide where k in (select k from dbl)",
+        "select k from wide where k = 1e-1",
+    ])
+    def test_decimal_matches_an_equal_double_in_filters(self, sql):
+        assert run_everywhere(self.setup, sql) == [
+            (decimal.Decimal("0.10000000000000000000"),)
+        ]
+
+
 class TestNonUniqueBuild:
     @staticmethod
     def setup(db):

@@ -16,8 +16,8 @@ import time
 import pytest
 
 from repro import Database
-from repro.algebra.expr import Param
-from repro.cache.plan_cache import UNCACHEABLE, PlanCache
+from repro.algebra.expr import Param, walk
+from repro.cache.plan_cache import UNCACHEABLE, PlanCache, _plan_exprs
 from repro.datatypes import INTEGER
 from repro.sql.normalize import extract_shape, normalize_sql, shape_hash
 from repro.sql.parser import parse_statement
@@ -248,6 +248,26 @@ class TestDatabaseWiring:
         result = db.query("select id, qty from pt where id = 11")
         assert result.rows == [(11, 33)]
         assert db.plan_cache.hits == hits_before + 1
+
+    def test_decimal_literal_against_a_double_column_binds_as_double(self, db):
+        """The slot of ``0.50`` compared with a DOUBLE column is typed DOUBLE,
+        and the cache converts each value it binds there: the kernel sees
+        a float constant on both misses and on the hit."""
+        db.execute("create table pr (id int primary key, r double)")
+        db.bulk_load("pr", [(i, i / 4) for i in range(20)])
+        kernel_calls = db.metrics.counter("exec.kernel_calls")
+        for value, expected in (("0.50", [(2,)]), ("1.25", [(5,)]), ("3.00", [(12,)])):
+            sql = f"select id from pr where r = {value}"
+            before = kernel_calls.value
+            assert db.query(sql).rows == expected
+            assert kernel_calls.value > before
+        assert (db.plan_cache.misses, db.plan_cache.hits) == (2, 1)
+        (entry,) = [e for e in db.plan_cache.entries() if "pr" in e.tables]
+        params = [
+            node for expr in _plan_exprs(entry.generic_plan) for node in walk(expr)
+            if isinstance(node, Param)
+        ]
+        assert [str(p.data_type) for p in params] == ["DOUBLE"]
 
     def test_limit_values_get_own_entries(self, db):
         for limit in (2, 5):

@@ -3,7 +3,7 @@
 The contract under test is *invisibility*: the vectorized kernels and the
 bounded-heap TopN operator must produce results identical to the scalar
 row-at-a-time path — including NULL handling (dictionary code ``-1``),
-mixed-type object-fallback columns, zero-column ``COUNT(*)`` chunks,
+mixed-kind UNION ALL keys, zero-column ``COUNT(*)`` chunks,
 ``batch_size=1`` streams, and joins whose sides do not share a fragment
 dictionary.  The fuzz campaign holds the same line statistically; these
 tests pin the named edge cases deterministically.
@@ -17,7 +17,7 @@ import pytest
 
 from repro.database import Database
 from repro.errors import TypeCheckError
-from repro.storage.column import ColumnFragments, MainFragment
+from repro.storage.column import ColumnFragments
 from repro.vectors import (
     DictVector,
     FloatVector,
@@ -104,15 +104,12 @@ class TestVectors:
         assert merged == ["x", "y"]
         assert isinstance(merged, list)
 
-    def test_maybe_typed_rejects_bool_decimal_mixed(self):
-        import decimal
-
-        assert isinstance(maybe_typed([1, 2, None]), IntVector)
-        assert isinstance(maybe_typed([1.5, None]), FloatVector)
-        assert maybe_typed([True, False]) == [True, False]
-        assert maybe_typed([decimal.Decimal(1)]) == [decimal.Decimal(1)]
-        assert maybe_typed([1, 2.0]) == [1, 2.0]
-        assert maybe_typed([2**70]) == [2**70]  # out of 64-bit range
+    def test_maybe_typed_packs_int_and_float_columns_only(self):
+        assert isinstance(maybe_typed([1, 2, None], int), IntVector)
+        assert isinstance(maybe_typed([1.5, None], float), FloatVector)
+        assert maybe_typed([True, False], bool) == [True, False]
+        assert maybe_typed([D(1)], D) == [D(1)]
+        assert maybe_typed([2**70], int) == [2**70]  # out of 64-bit range
 
     def test_pad_take_keeps_dict_coded_null_extension(self):
         arr = __import__("array").array
@@ -147,13 +144,6 @@ class TestFragmentVectors:
         assert v.tolist() == [30, None, 10]
         frags.append(40)
         assert frags.get_many_vector([0, 3]) == [10, 40]
-
-    def test_mixed_type_dictionary_not_sorted(self):
-        frag = MainFragment([1, "a", 2])
-        assert frag.homogeneous is False
-        frags = ColumnFragments([1, "a", 2])
-        v = frags.get_range_vector(0, 3)
-        assert v.sorted_dict is False
 
 
 # -- kernel edge cases ------------------------------------------------------
@@ -271,28 +261,12 @@ class TestZeroColumnChunks:
             tiny.close()
 
 
-class TestMixedTypeColumns:
-    """A mixed-type column keeps the object-list semantics: range kernels
-    must not engage against a type-tag-sorted dictionary."""
-
+class TestStringRanges:
     def build(self, vectorized=True):
         d = Database(wal_enabled=False, vectorized=vectorized)
         d.execute("create table m (id int, v varchar)")
         d.bulk_load("m", [(i, f"s{i % 3}") for i in range(40)])
         return d
-
-    def test_mixed_fragment_falls_back(self):
-        vec, scalar = scalar_twin(self.build)
-        try:
-            # Force a mixed dictionary directly at the storage layer.
-            for d in (vec, scalar):
-                frags = d.catalog.table("m").column("v")
-                frags.main = MainFragment([1 if i % 2 else f"s{i}" for i in range(40)])
-            sql = "select id from m where v = 's2'"
-            assert vec.query(sql).rows == scalar.query(sql).rows
-        finally:
-            vec.close()
-            scalar.close()
 
     def test_string_ranges_match_scalar(self):
         vec, scalar = scalar_twin(self.build)
@@ -310,8 +284,8 @@ class TestMixedTypeColumns:
 class TestDictionaryMismatchJoin:
     def test_join_across_tables_decodes_and_matches(self, db):
         # items.grp joined against a second table: different fragments,
-        # different dictionaries — keys decode through the per-dictionary
-        # memo and the join must still be exact.
+        # different dictionaries — keys decode from each side's own
+        # dictionary and the join must still be exact.
         db.execute("create table grps (name varchar, boost int)")
         db.bulk_load("grps", [(f"g{i}", i * 100) for i in range(7)])
         rows = db.query(
@@ -593,9 +567,9 @@ class TestTopN:
         )
         assert [s for _, s in rows][-4:] == [None] * 4  # NULLS LAST
 
-    def test_demotion_mid_stream(self):
-        """Int keys fill the heap, then a Decimal batch arrives: the heap
-        is rebuilt under the general comparator, with pinned rows."""
+    def test_mixed_kind_union_key_ranks_as_its_unified_type(self):
+        """An INTEGER branch and a DECIMAL branch meet as DECIMAL(10,2):
+        the int keys arrive cast, and the page ranks on the rank path."""
         def setup(d):
             d.execute("create table a (id int primary key, v int)")
             d.execute("create table b (id int primary key, d decimal(10,2))")
@@ -611,6 +585,8 @@ class TestTopN:
             (0, 0), (23, 0), (100, D("0.50")), (10, 1), (104, D("1.50")),
             (20, 2), (108, D("2.50")), (7, 3),
         ]
+        assert {type(x) for _, x in rows} == {D}
+        assert str(rows[0][1]) == "0.00"
 
     def test_offset_beyond_the_input(self):
         def setup(d):
@@ -628,7 +604,8 @@ class TestTopN:
         """A page as large as the input keeps every row; a small page over
         a scattered stream leaves a few live rows in many batches' payloads,
         so the kept rows are copied into one payload along the way — on the
-        rank path and on the comparator path (Decimal keys)."""
+        rank path (numeric and Decimal keys) and on the comparator path
+        (a descending string key)."""
         def setup(d):
             d.execute(
                 "create table t (id int primary key, v int, x decimal(10,2), "
@@ -655,8 +632,9 @@ class TestTopN:
             assert len(topn_everywhere(setup, sql)) >= 10
 
     def test_pinned_desc_varchar_and_decimal_keys(self):
-        """Absolute expectations for the comparator ``SortExec`` and TopN
-        share: descending strings and Decimal keys, NULLS LAST."""
+        """Absolute expectations for descending strings (the comparator
+        ``SortExec`` and TopN share) and Decimal keys (TopN's rank path),
+        NULLS LAST."""
         def setup(d):
             d.execute(
                 "create table t (id int primary key, s varchar(8), "
